@@ -1,5 +1,5 @@
 //! Microbenchmarks of the substrate kernels: multiprecision arithmetic
-//! (both multiplication backends, including the Karatsuba threshold
+//! (both profiles' multiplication kernels, including the Karatsuba threshold
 //! calibration sweep), polynomial evaluation, remainder sequences, and
 //! the tree matrix combine — the building blocks whose costs Section 4
 //! models.

@@ -1,6 +1,6 @@
 //! Benchmarks of the end-to-end solver on the paper's workload:
 //! representative (n, µ) cells of Table 2, the scheduler variants, the
-//! refinement ablation, the multiplication-backend contrast, and the
+//! refinement ablation, the kernel-profile contrast, and the
 //! Sturm baseline for the Figure 8 contrast.
 //!
 //! ```sh
@@ -10,7 +10,7 @@
 use rr_baseline::{find_real_roots, BaselineConfig};
 use rr_bench::digits_to_bits;
 use rr_bench::microbench::Bench;
-use rr_core::{ExecMode, MulBackend, RefineStrategy, RootApproximator, SolverConfig};
+use rr_core::{ExecMode, Profile, RefineStrategy, RootApproximator, SolverConfig};
 use rr_workload::charpoly_input;
 use std::hint::black_box;
 
@@ -61,18 +61,15 @@ fn bench_refinement_ablation(b: &mut Bench) {
     }
 }
 
-fn bench_mul_backends(b: &mut Bench) {
-    b.group("mul_backends (end-to-end solve)");
+fn bench_profiles(b: &mut Bench) {
+    b.group("profiles (end-to-end solve)");
     let mu = digits_to_bits(32);
     for n in [15usize, 30] {
         let p = charpoly_input(n, 0);
-        for (name, backend) in [
-            ("schoolbook", MulBackend::Schoolbook),
-            ("fast", MulBackend::Fast),
-        ] {
+        for profile in Profile::ALL {
             let solver =
-                RootApproximator::new(SolverConfig::sequential(mu).with_backend(backend));
-            b.measure(&format!("backend/{name}/n{n}"), || {
+                RootApproximator::new(SolverConfig::sequential(mu).with_profile(profile));
+            b.measure(&format!("profile/{profile}/n{n}"), || {
                 solver.approximate_roots(black_box(&p)).unwrap()
             });
         }
@@ -100,6 +97,6 @@ fn main() {
     bench_table2_cells(&mut b);
     bench_schedulers(&mut b);
     bench_refinement_ablation(&mut b);
-    bench_mul_backends(&mut b);
+    bench_profiles(&mut b);
     bench_vs_baseline(&mut b);
 }

@@ -1,17 +1,16 @@
-//! Division backend ablation: Knuth Algorithm D vs Newton-reciprocal
-//! division (DESIGN.md §13), crossed with the multiplication backends,
-//! on the paper's workload families.
+//! Division kernel ablation: Knuth Algorithm D vs Newton-reciprocal /
+//! 2-adic division (DESIGN.md §13), on the profile axis, on the paper's
+//! workload families.
 //!
 //! Two modes:
 //!
-//! * **grid** (default) — for each degree `n` the 2×2×2 grid
-//!   `{limb: schoolbook, fast} × {poly: schoolbook, kronecker} ×
-//!   {div: schoolbook, newton}`: wall-clock of the remainder-sequence
-//!   phase in isolation (the division-bound kernel — every iteration's
-//!   exact `/c²` divisions) and of a full sequential solve, plus the
-//!   recorded model counts — which must be identical across all eight
-//!   cells (division cost is charged above either kernel; see
-//!   `rr_mp::nat::newton_div`).
+//! * **grid** (default) — for each degree `n` one row per profile
+//!   (`paper`: quadratic kernels; `fast`: every size-dispatched kernel):
+//!   wall-clock of the remainder-sequence phase in isolation (the
+//!   division-bound kernel — every iteration's exact `/c²` divisions) and
+//!   of a full sequential solve, plus the recorded model counts — which
+//!   must be identical across profiles (division cost is charged above
+//!   either kernel; see `rr_mp::nat::newton_div`).
 //! * **`--sweep`** — the crossover calibrations: (a) truncating
 //!   `div_rem` behind `rr_mp::nat::newton_div::NEWTON_DIV_THRESHOLD` —
 //!   random operands over a (divisor limbs × quotient limbs) grid,
@@ -31,16 +30,14 @@ use rr_bench::{digits_to_bits, impl_to_json, maybe_write_bench_json, time_best, 
 use rr_core::{Session, SolverConfig};
 use rr_mp::limb::Limb;
 use rr_mp::nat::{self, div, newton_div};
-use rr_mp::{DivBackend, MulBackend, PolyMulBackend, SolveCtx};
+use rr_mp::{Profile, SolveCtx};
 use rr_poly::remainder::remainder_sequence;
 use rr_workload::charpoly_input;
 
-/// One grid cell: a backend triple on one degree's workload.
+/// One grid cell: a profile on one degree's workload.
 struct Row {
     n: usize,
-    limb: String,
-    poly_mul: String,
-    div: String,
+    profile: String,
     /// Remainder-sequence phase in isolation (the division-bound
     /// kernel): all iterations' three products + exact `/c²` divisions.
     rem_wall_s: f64,
@@ -49,7 +46,7 @@ struct Row {
     /// The solve's own remainder-stage wall (from `SolveStats`).
     solve_rem_wall_s: f64,
     /// Model divisions recorded by the isolated remainder phase —
-    /// asserted identical across the eight cells of each `n`.
+    /// asserted identical across the profiles of each `n`.
     model_divs: u64,
     model_div_bits: u64,
     /// Physical Newton-kernel counters (isolated phase + solve).
@@ -63,19 +60,13 @@ struct Row {
     corrections: u64,
     exact_divs: u64,
     hensel_steps: u64,
-    /// Speedups vs the schoolbook-div cell with the same limb/poly
-    /// backends (1.0 on the schoolbook-div cells themselves).
+    /// Speedups vs the `paper` row of the same `n` (1.0 on that row).
     speedup_rem: f64,
     speedup_solve: f64,
-    /// Speedups vs the paper-faithful seed cell (all-schoolbook).
-    speedup_rem_vs_seed: f64,
-    speedup_solve_vs_seed: f64,
 }
 impl_to_json!(Row {
     n,
-    limb,
-    poly_mul,
-    div,
+    profile,
     rem_wall_s,
     solve_wall_s,
     solve_rem_wall_s,
@@ -88,25 +79,7 @@ impl_to_json!(Row {
     hensel_steps,
     speedup_rem,
     speedup_solve,
-    speedup_rem_vs_seed,
-    speedup_solve_vs_seed,
 });
-
-fn names(limb: MulBackend, poly: PolyMulBackend, d: DivBackend) -> (String, String, String) {
-    let l = match limb {
-        MulBackend::Schoolbook => "schoolbook",
-        MulBackend::Fast => "fast",
-    };
-    let p = match poly {
-        PolyMulBackend::Schoolbook => "schoolbook",
-        PolyMulBackend::Kronecker => "kronecker",
-    };
-    let dv = match d {
-        DivBackend::Schoolbook => "schoolbook",
-        DivBackend::Newton => "newton",
-    };
-    (l.to_string(), p.to_string(), dv.to_string())
-}
 
 fn grid(args: &Args) {
     let max_n: usize = args.get("max-n").unwrap_or(96);
@@ -115,97 +88,66 @@ fn grid(args: &Args) {
     let mu = digits_to_bits(digits);
     let mut rows: Vec<Row> = Vec::new();
 
-    println!("Division backend grid, µ = {digits} digits ({mu} bits)");
+    println!("Division kernels by profile, µ = {digits} digits ({mu} bits)");
     println!("rem = isolated remainder-sequence phase; solve = full sequential solve of the");
-    println!("charpoly family. Under RR_DIV=newton every remainder step fuses its products and");
-    println!("exact /c² division into quotient-sized 2-adic truncated products (cached inverse");
-    println!("shared per iteration); the kernel dispatches from n ≈ 10 onward.\n");
-    println!("  n  | limb       | poly       | div        | rem        | vs school | solve      | vs school");
-    println!(" ----+------------+------------+------------+------------+-----------+------------+----------");
+    println!("charpoly family. Under the fast profile every remainder step fuses its products");
+    println!("and exact /c² division into quotient-sized 2-adic truncated products (cached");
+    println!("inverse shared per iteration); the kernel dispatches from n ≈ 10 onward.\n");
+    println!("  n  | profile | rem        | vs paper | solve      | vs paper");
+    println!(" ----+---------+------------+----------+------------+---------");
     for n in [16usize, 32, 48, 64, 80, 96].into_iter().filter(|&n| n <= max_n) {
         let p = charpoly_input(n, 0);
-        let mut school_walls = [[0f64; 2]; 4]; // [limb×poly][rem|solve]
-        let mut seed_walls = [0f64; 2];
+        let mut paper_walls = [0f64; 2];
         let mut model_ref: Option<(u64, u64)> = None;
-        for limb in [MulBackend::Schoolbook, MulBackend::Fast] {
-            for poly_mul in [PolyMulBackend::Schoolbook, PolyMulBackend::Kronecker] {
-                for div_backend in [DivBackend::Schoolbook, DivBackend::Newton] {
-                    let ctx = SolveCtx::new(limb)
-                        .with_poly_backend(poly_mul)
-                        .with_div_backend(div_backend);
-                    let (_, best) = time_best(reps, || ctx.run(|| remainder_sequence(&p)));
-                    let rem_wall = best.as_secs_f64();
+        for profile in Profile::ALL {
+            let ctx = SolveCtx::new(profile);
+            let (_, best) = time_best(reps, || ctx.run(|| remainder_sequence(&p)));
+            let rem_wall = best.as_secs_f64();
 
-                    // Division cost is backend-invariant; `reps` runs
-                    // each recorded the same charge.
-                    let total = ctx.snapshot().total();
-                    let model = (total.div_count / reps as u64, total.div_bits / reps as u64);
-                    match model_ref {
-                        None => model_ref = Some(model),
-                        Some(m) => assert_eq!(
-                            m, model,
-                            "model drift at n={n} {limb:?}/{poly_mul:?}/{div_backend:?}"
-                        ),
-                    }
-
-                    // One timed full solve through the session API (the
-                    // same backends, selected through `SolverConfig`).
-                    let cfg = SolverConfig::sequential(mu)
-                        .with_backend(limb)
-                        .with_poly_mul(poly_mul)
-                        .with_div(div_backend);
-                    let r = Session::new(cfg).solve(&p).expect("real-rooted workload");
-
-                    let nd = ctx.newton_div_stats();
-                    let cell =
-                        (matches!(limb, MulBackend::Fast) as usize) * 2
-                            + matches!(poly_mul, PolyMulBackend::Kronecker) as usize;
-                    let solve_wall = r.stats.wall.as_secs_f64();
-                    let (speedup_rem, speedup_solve) = match div_backend {
-                        DivBackend::Schoolbook => {
-                            school_walls[cell] = [rem_wall, solve_wall];
-                            if cell == 0 {
-                                seed_walls = [rem_wall, solve_wall];
-                            }
-                            (1.0, 1.0)
-                        }
-                        DivBackend::Newton => (
-                            school_walls[cell][0] / rem_wall,
-                            school_walls[cell][1] / solve_wall,
-                        ),
-                    };
-                    let (lname, pname, dname) = names(limb, poly_mul, div_backend);
-                    println!(
-                        " {n:>3} | {lname:<10} | {pname:<10} | {dname:<10} | {rem_wall:>9.4}s | {speedup_rem:>8.2}x | {solve_wall:>9.4}s | {speedup_solve:>8.2}x",
-                    );
-                    rows.push(Row {
-                        n,
-                        limb: lname,
-                        poly_mul: pname,
-                        div: dname,
-                        rem_wall_s: rem_wall,
-                        solve_wall_s: solve_wall,
-                        solve_rem_wall_s: r.stats.remainder_wall.as_secs_f64(),
-                        model_divs: model.0,
-                        model_div_bits: model.1,
-                        newton_divs: nd.newton_divs / reps as u64 + r.stats.newton_div.newton_divs,
-                        recip_iters: nd.recip_iters / reps as u64 + r.stats.newton_div.recip_iters,
-                        corrections: nd.corrections / reps as u64 + r.stats.newton_div.corrections,
-                        exact_divs: nd.exact_divs / reps as u64 + r.stats.newton_div.exact_divs,
-                        hensel_steps: nd.hensel_steps / reps as u64
-                            + r.stats.newton_div.hensel_steps,
-                        speedup_rem,
-                        speedup_solve,
-                        speedup_rem_vs_seed: seed_walls[0] / rem_wall,
-                        speedup_solve_vs_seed: seed_walls[1] / solve_wall,
-                    });
-                }
+            // Division cost is profile-invariant; `reps` runs each
+            // recorded the same charge.
+            let total = ctx.snapshot().total();
+            let model = (total.div_count / reps as u64, total.div_bits / reps as u64);
+            match model_ref {
+                None => model_ref = Some(model),
+                Some(m) => assert_eq!(m, model, "model drift at n={n} {profile}"),
             }
+
+            // One timed full solve through the session API.
+            let cfg = SolverConfig::sequential(mu).with_profile(profile);
+            let r = Session::new(cfg).solve(&p).expect("real-rooted workload");
+            let solve_wall = r.stats.wall.as_secs_f64();
+            if profile == Profile::Paper {
+                paper_walls = [rem_wall, solve_wall];
+            }
+            let (speedup_rem, speedup_solve) =
+                (paper_walls[0] / rem_wall, paper_walls[1] / solve_wall);
+            println!(
+                " {n:>3} | {profile:<7} | {rem_wall:>9.4}s | {speedup_rem:>7.2}x | {solve_wall:>9.4}s | {speedup_solve:>7.2}x",
+            );
+            let nd = ctx.newton_div_stats();
+            let sd = r.stats.newton_div;
+            let per_rep = reps as u64;
+            rows.push(Row {
+                n,
+                profile: profile.to_string(),
+                rem_wall_s: rem_wall,
+                solve_wall_s: solve_wall,
+                solve_rem_wall_s: r.stats.remainder_wall.as_secs_f64(),
+                model_divs: model.0,
+                model_div_bits: model.1,
+                newton_divs: nd.newton_divs / per_rep + sd.newton_divs,
+                recip_iters: nd.recip_iters / per_rep + sd.recip_iters,
+                corrections: nd.corrections / per_rep + sd.corrections,
+                exact_divs: nd.exact_divs / per_rep + sd.exact_divs,
+                hensel_steps: nd.hensel_steps / per_rep + sd.hensel_steps,
+                speedup_rem,
+                speedup_solve,
+            });
         }
     }
-    println!("\n(model_divs is identical across each n's eight cells — asserted above; speedups");
-    println!(" compare against the schoolbook-div cell with the same limb/poly backends. The");
-    println!(" fused 2-adic remainder step shrinks the phase's products *and* divisions to");
+    println!("\n(model_divs is identical across each n's profiles — asserted above. The fused");
+    println!(" 2-adic remainder step shrinks the phase's products *and* divisions to");
     println!(" quotient-sized work; the solve column dilutes the win with the multiplication-");
     println!(" bound tree and interval stages.)");
     maybe_write_bench_json(
@@ -251,9 +193,9 @@ fn sweep(args: &Args) {
     println!("Newton division crossover sweep (ratio = algorithm D / forced newton)");
     println!("Newton folds the division into reciprocal refinements built from multiplications,");
     println!("so it only pays when the mul kernel is subquadratic — calibrate under `fast`.");
-    for limb in [MulBackend::Schoolbook, MulBackend::Fast] {
-        let ctx = SolveCtx::new(limb);
-        println!("\nlimb backend: {limb:?}  (rows: divisor limbs, cols: quotient limbs)");
+    for profile in Profile::ALL {
+        let ctx = SolveCtx::new(profile);
+        println!("\nprofile: {profile}  (rows: divisor limbs, cols: quotient limbs)");
         println!("  v\\q | {}", q_lens.map(|q| format!("{q:>6}")).join(" | "));
         println!(" -----+{}", q_lens.map(|_| "--------".to_string()).join("+"));
         let mut crossover = None;
@@ -295,7 +237,7 @@ fn sweep(args: &Args) {
                  long: {len} (NEWTON_DIV_THRESHOLD = {})",
                 newton_div::NEWTON_DIV_THRESHOLD
             ),
-            None => println!("  → Newton never won under this limb backend"),
+            None => println!("  → Newton never won under this profile's multiplication"),
         }
     }
     sweep_exact(args);
@@ -314,7 +256,7 @@ fn sweep_exact(args: &Args) {
     println!("\nExact-division crossover (ratios = algorithm D / 2-adic, one-shot and");
     println!("amortized over {BATCH} same-divisor divisions; 2-adic cost depends on the");
     println!("quotient length only, never the divisor's)");
-    let ctx = SolveCtx::new(MulBackend::Fast).with_div_backend(DivBackend::Newton);
+    let ctx = SolveCtx::new(Profile::Fast);
     println!("\n  v\\q | {}", q_lens.map(|q| format!("{q:>13}")).join(" | "));
     println!(" -----+{}", q_lens.map(|_| "---------------".to_string()).join("+"));
     for v_len in v_lens {

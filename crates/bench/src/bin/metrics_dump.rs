@@ -142,7 +142,7 @@ fn main() {
     let bits: Vec<&HistogramSummary> = snap.histograms_named("rr_mp_operand_bits").collect();
     print_hist_table("Int operand bits (rr_mp_operand_bits)", "bits", &bits);
 
-    println!("\nsolve outcomes:");
+    println!("\nsolve outcomes (rr_solves_total by outcome × profile):");
     for c in snap.counters.iter().filter(|c| c.name == "rr_solves_total") {
         let labels = c
             .labels

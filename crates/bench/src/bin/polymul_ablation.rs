@@ -1,15 +1,16 @@
-//! Polynomial-multiplication backend ablation: schoolbook coefficient
-//! loop vs Kronecker substitution (DESIGN.md §12), crossed with the limb
-//! backends, on the paper's workload families.
+//! Polynomial-multiplication kernel ablation: schoolbook coefficient
+//! loop vs Kronecker substitution (DESIGN.md §12), on the profile axis,
+//! on the paper's workload families.
 //!
 //! Two modes:
 //!
-//! * **grid** (default) — for each degree `n` the 2×2 grid
-//!   `{poly: schoolbook, kronecker} × {limb: schoolbook, fast}`:
-//!   wall-clock of the tree-polynomial phase (the COMPUTEPOLY kernel
-//!   alone, no interval stage) and of a full sequential solve, plus the
-//!   recorded model counts — which must be identical across all four
-//!   cells (the Kronecker path replays the schoolbook charge; see
+//! * **grid** (default) — for each degree `n` one row per profile
+//!   (`paper`: schoolbook loop on the schoolbook limb kernel; `fast`:
+//!   Kronecker above its crossover on Karatsuba): wall-clock of the
+//!   tree-polynomial phase (the COMPUTEPOLY kernel alone, no interval
+//!   stage), of a balanced product tree, and of a full sequential solve,
+//!   plus the recorded model counts — which must be identical across
+//!   profiles (the Kronecker path replays the schoolbook charge; see
 //!   `rr_poly::kronecker`).
 //! * **`--sweep`** — the crossover calibration behind
 //!   `rr_poly::kronecker::KRONECKER_MIN_LEN`: dense random operands over
@@ -28,16 +29,15 @@ use rr_core::tree::{is_spine, Tree};
 use rr_core::{treepoly, Session, SolverConfig};
 use rr_linalg::Mat2;
 use rr_mp::limb::Limb;
-use rr_mp::{Int, MulBackend, PolyMulBackend, Sign, SolveCtx};
+use rr_mp::{Int, Profile, Sign, SolveCtx};
 use rr_poly::remainder::{remainder_sequence, RemainderSeq};
 use rr_poly::Poly;
 use rr_workload::charpoly_input;
 
-/// One grid cell: a backend pair on one degree's two workload families.
+/// One grid cell: a profile on one degree's two workload families.
 struct Row {
     n: usize,
-    limb: String,
-    poly_mul: String,
+    profile: String,
     /// In-solve COMPUTEPOLY kernel (charpoly family): every tree matrix,
     /// bottom-up. Dominated by low-degree × huge-coefficient products
     /// (subresultant growth), where the gate keeps Kronecker out.
@@ -51,24 +51,19 @@ struct Row {
     /// The solve's tree+interval stage wall.
     solve_tree_wall_s: f64,
     /// Model multiplications recorded by the COMPUTEPOLY kernel —
-    /// asserted identical across the four cells of each `n`.
+    /// asserted identical across the profiles of each `n`.
     model_muls: u64,
     /// Kronecker packings that actually ran (COMPUTEPOLY + product tree).
     kronecker_muls: u64,
     packed_bits: u64,
-    /// Speedups vs the schoolbook-poly cell with the same limb backend
-    /// (1.0 on the schoolbook-poly cells themselves).
+    /// Speedups vs the `paper` row of the same `n` (1.0 on that row).
     speedup_tree: f64,
     speedup_product_tree: f64,
-    /// Speedups vs the paper-faithful seed cell (schoolbook poly ×
-    /// schoolbook limb).
-    speedup_tree_vs_seed: f64,
-    speedup_product_tree_vs_seed: f64,
+    speedup_solve: f64,
 }
 impl_to_json!(Row {
     n,
-    limb,
-    poly_mul,
+    profile,
     tree_wall_s,
     product_tree_wall_s,
     solve_wall_s,
@@ -78,28 +73,8 @@ impl_to_json!(Row {
     packed_bits,
     speedup_tree,
     speedup_product_tree,
-    speedup_tree_vs_seed,
-    speedup_product_tree_vs_seed,
+    speedup_solve,
 });
-
-const GRID: [(MulBackend, PolyMulBackend); 4] = [
-    (MulBackend::Schoolbook, PolyMulBackend::Schoolbook),
-    (MulBackend::Schoolbook, PolyMulBackend::Kronecker),
-    (MulBackend::Fast, PolyMulBackend::Schoolbook),
-    (MulBackend::Fast, PolyMulBackend::Kronecker),
-];
-
-fn name(limb: MulBackend, poly: PolyMulBackend) -> (String, String) {
-    let l = match limb {
-        MulBackend::Schoolbook => "schoolbook",
-        MulBackend::Fast => "fast",
-    };
-    let p = match poly {
-        PolyMulBackend::Schoolbook => "schoolbook",
-        PolyMulBackend::Kronecker => "kronecker",
-    };
-    (l.to_string(), p.to_string())
-}
 
 /// The COMPUTEPOLY phase in isolation: every non-spine tree matrix,
 /// bottom-up (exactly the matrices `seq_solver` computes, without the
@@ -133,30 +108,29 @@ fn grid(args: &Args) {
     let mu = digits_to_bits(digits);
     let mut rows: Vec<Row> = Vec::new();
 
-    println!("Polynomial-multiplication backend grid, µ = {digits} digits ({mu} bits)");
+    println!("Polynomial-multiplication kernels by profile, µ = {digits} digits ({mu} bits)");
     println!("tree = in-solve COMPUTEPOLY kernel (charpoly family); ptree = balanced product");
     println!("tree building Π(x−rᵢ) over n integer roots (the degree ≫ coefficient regime)\n");
-    println!("  n  | limb       | poly       | tree       | vs school | ptree      | vs school | solve wall");
-    println!(" ----+------------+------------+------------+-----------+------------+-----------+-----------");
+    println!("  n  | profile | tree       | vs paper | ptree      | vs paper | solve      | vs paper");
+    println!(" ----+---------+------------+----------+------------+----------+------------+---------");
     for n in [16usize, 32, 48, 64, 80, 96].into_iter().filter(|&n| n <= max_n) {
         let p = charpoly_input(n, 0);
         let rs = remainder_sequence(&p).expect("paper workload has a remainder sequence");
         let tree = Tree::build(rs.n);
         let roots: Vec<Int> = (0..n).map(|i| Int::from(i as i64 - (n / 2) as i64)).collect();
-        let mut school_walls = [[0f64; 2]; 2]; // [limb][tree|ptree]
-        let mut seed_walls = [0f64; 2];
+        let mut paper_walls = [0f64; 3];
         let mut model_muls_ref: Option<u64> = None;
-        for (limb, poly_mul) in GRID {
-            let ctx = SolveCtx::new(limb).with_poly_backend(poly_mul);
+        for profile in Profile::ALL {
+            let ctx = SolveCtx::new(profile);
             let (_, best) = time_best(reps, || ctx.run(|| all_tmats(&tree, &rs, tree.root)));
             let tree_wall = best.as_secs_f64();
 
-            // The model is backend-invariant; `reps` kernel runs each
+            // The model is profile-invariant; `reps` kernel runs each
             // recorded the same charge, so divide the accumulated count.
             let model_muls = ctx.snapshot().total().mul_count / reps as u64;
             match model_muls_ref {
                 None => model_muls_ref = Some(model_muls),
-                Some(m) => assert_eq!(m, model_muls, "model drift at n={n} {limb:?}/{poly_mul:?}"),
+                Some(m) => assert_eq!(m, model_muls, "model drift at n={n} {profile}"),
             }
 
             // The product tree is orders of magnitude cheaper than the
@@ -164,62 +138,49 @@ fn grid(args: &Args) {
             // swamps a small best-of; run it many times. Its own ctx
             // keeps the per-rep counter arithmetic exact.
             let ptree_reps = reps.max(3) * 67;
-            let ptree_ctx = SolveCtx::new(limb).with_poly_backend(poly_mul);
+            let ptree_ctx = SolveCtx::new(profile);
             let (_, bestp) = time_best(ptree_reps, || ptree_ctx.run(|| Poly::from_roots(&roots)));
             let ptree_wall = bestp.as_secs_f64();
 
-            // One timed full solve through the session API (the same
-            // backends, selected through `SolverConfig`).
-            let cfg = SolverConfig::sequential(mu)
-                .with_backend(limb)
-                .with_poly_mul(poly_mul);
+            // One timed full solve through the session API.
+            let cfg = SolverConfig::sequential(mu).with_profile(profile);
             let r = Session::new(cfg).solve(&p).expect("real-rooted workload");
+            let solve_wall = r.stats.wall.as_secs_f64();
 
-            let kron = ctx.kron_stats();
-            let limb_idx = matches!(limb, MulBackend::Fast) as usize;
-            let (speedup_tree, speedup_ptree) = match poly_mul {
-                PolyMulBackend::Schoolbook => {
-                    school_walls[limb_idx] = [tree_wall, ptree_wall];
-                    if matches!(limb, MulBackend::Schoolbook) {
-                        seed_walls = [tree_wall, ptree_wall];
-                    }
-                    (1.0, 1.0)
-                }
-                PolyMulBackend::Kronecker => (
-                    school_walls[limb_idx][0] / tree_wall,
-                    school_walls[limb_idx][1] / ptree_wall,
-                ),
-            };
-            let (lname, pname) = name(limb, poly_mul);
+            if profile == Profile::Paper {
+                paper_walls = [tree_wall, ptree_wall, solve_wall];
+            }
+            let speedups = [
+                paper_walls[0] / tree_wall,
+                paper_walls[1] / ptree_wall,
+                paper_walls[2] / solve_wall,
+            ];
             println!(
-                " {n:>3} | {lname:<10} | {pname:<10} | {tree_wall:>9.4}s | {speedup_tree:>8.2}x | {ptree_wall:>9.4}s | {speedup_ptree:>8.2}x | {:>9.4}s",
-                r.stats.wall.as_secs_f64(),
+                " {n:>3} | {profile:<7} | {tree_wall:>9.4}s | {:>7.2}x | {ptree_wall:>9.4}s | {:>7.2}x | {solve_wall:>9.4}s | {:>7.2}x",
+                speedups[0], speedups[1], speedups[2],
             );
+            let (kron, pkron) = (ctx.kron_stats(), ptree_ctx.kron_stats());
             rows.push(Row {
                 n,
-                limb: lname,
-                poly_mul: pname,
+                profile: profile.to_string(),
                 tree_wall_s: tree_wall,
                 product_tree_wall_s: ptree_wall,
-                solve_wall_s: r.stats.wall.as_secs_f64(),
+                solve_wall_s: solve_wall,
                 solve_tree_wall_s: r.stats.tree_wall.as_secs_f64(),
                 model_muls,
                 kronecker_muls: kron.kronecker_muls / reps as u64
-                    + ptree_ctx.kron_stats().kronecker_muls / ptree_reps as u64,
-                packed_bits: kron.packed_bits / reps as u64
-                    + ptree_ctx.kron_stats().packed_bits / ptree_reps as u64,
-                speedup_tree,
-                speedup_product_tree: speedup_ptree,
-                speedup_tree_vs_seed: seed_walls[0] / tree_wall,
-                speedup_product_tree_vs_seed: seed_walls[1] / ptree_wall,
+                    + pkron.kronecker_muls / ptree_reps as u64,
+                packed_bits: kron.packed_bits / reps as u64 + pkron.packed_bits / ptree_reps as u64,
+                speedup_tree: speedups[0],
+                speedup_product_tree: speedups[1],
+                speedup_solve: speedups[2],
             });
         }
     }
-    println!("\n(model_muls is identical across each n's four cells — asserted above; speedups");
-    println!(" compare against the schoolbook-poly cell with the same limb backend. The in-solve");
+    println!("\n(model_muls is identical across each n's profiles — asserted above. The in-solve");
     println!(" tree kernel is dominated by degree ≤ 8 products with 10⁴–10⁵-bit subresultant");
-    println!(" coefficients — below the calibrated crossover, so Kronecker stays out and the");
-    println!(" column hovers at 1×; the product-tree column is the regime it was built for.)");
+    println!(" coefficients — below the Kronecker crossover, so its fast-profile gain is");
+    println!(" Karatsuba's; the product-tree column is the regime Kronecker was built for.)");
     maybe_write_bench_json(
         args.get("json"),
         "polymul_ablation",
@@ -270,9 +231,9 @@ fn sweep(args: &Args) {
     println!("Kronecker crossover sweep (dense operands, equal lengths; ratio = school/kron)");
     println!("Kronecker turns one poly product into a few huge integer products, so it only");
     println!("pays when the integer kernel is subquadratic — calibrate under `fast` (Karatsuba).");
-    for limb in [MulBackend::Schoolbook, MulBackend::Fast] {
-        let ctx = SolveCtx::new(limb);
-        println!("\nlimb backend: {limb:?}");
+    for profile in Profile::ALL {
+        let ctx = SolveCtx::new(profile);
+        println!("\nprofile: {profile}");
         println!("  len | {}", bit_sizes.map(|b| format!("{b:>5} bits")).join(" | "));
         println!(" -----+{}", bit_sizes.map(|_| "-----------".to_string()).join("+"));
         let mut crossover = None;
@@ -301,7 +262,7 @@ fn sweep(args: &Args) {
                  (KRONECKER_MIN_LEN = {})",
                 rr_poly::kronecker::KRONECKER_MIN_LEN
             ),
-            None => println!("  → Kronecker never won under this limb backend"),
+            None => println!("  → Kronecker never won under this profile's multiplication"),
         }
     }
 }

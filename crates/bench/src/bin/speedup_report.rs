@@ -24,7 +24,7 @@
 use rr_bench::json::Value;
 use rr_bench::schema::maybe_write_bench_json;
 use rr_bench::{digits_to_bits, impl_to_json, Args, PAPER_PROCS};
-use rr_core::{ExecMode, Session, SolverConfig};
+use rr_core::{ExecMode, Profile, Session, SolverConfig};
 use rr_sched::sim;
 use rr_workload::{charpoly_input, paper_degrees};
 
@@ -43,9 +43,9 @@ struct Row {
     // profile, summed across the solve's task graphs). The speedup
     // columns are means; this is the shape behind them.
     parallelism_hist: Vec<(u64, f64)>,
-    // Intra-multiply concurrency from the fork-join splitter
-    // (`RR_PAR_MUL`), measured by a companion par-mul-on solve at the
-    // same configuration: serial work `T₁` and critical path `T_∞` of
+    // Intra-multiply concurrency from the fork-join splitter, measured
+    // by a companion `fast`-profile solve on a 2-worker pool: serial
+    // work `T₁` and critical path `T_∞` of
     // the split big-integer products (DESIGN.md §17). The task-level
     // trace above treats each task as atomic, so this is parallelism
     // *inside* tasks, invisible to — and additive with — the task
@@ -143,19 +143,14 @@ fn main() {
             continue;
         }
 
-        // Companion par-mul-on solve on the fast stack (the splitter
-        // only engages on `MulBackend::Fast`; forced `On` — under
-        // `Auto` a one-worker pool never engages): bit-identical
-        // roots, and its `SolveStats::parmul` carries the split
-        // products' work/span for the intra-multiply concurrency
+        // Companion solve on the fast profile (the splitter only
+        // engages there, and only when the pool scope has an idle
+        // worker — hence two workers, not the trace run's one):
+        // bit-identical roots, and its `SolveStats::parmul` carries the
+        // split products' work/span for the intra-multiply concurrency
         // columns.
-        let parmul = Session::new(
-            cfg.with_backend(rr_mp::MulBackend::Fast)
-                .with_poly_mul(rr_mp::PolyMulBackend::Kronecker)
-                .with_div(rr_mp::DivBackend::Newton)
-                .with_par_mul(rr_mp::ParMulMode::On),
-        )
-        .solve(&p)
+        let parmul = Session::new(SolverConfig::parallel(mu, 2).with_profile(Profile::Fast))
+            .solve(&p)
         .map(|r| r.stats.parmul)
         .unwrap_or_default();
         let (pm_work, pm_span) =

@@ -177,7 +177,7 @@ mod tests {
             .any(|row| row["name"].as_str() == Some("treepoly")));
         assert!(v["pool"]["workers"].as_u64().unwrap() >= 2);
         // Physical allocation counters ride along (value depends on
-        // RR_ARENA, but the fields are always present).
+        // how warm the arenas are, but the fields are always present).
         assert!(v["alloc"]["allocs"].as_f64().is_some());
         assert!(v["alloc"]["bytes"].as_f64().is_some());
         assert!(v["pool"]["allocs"].as_f64().is_some());

@@ -83,7 +83,7 @@ pub mod treepoly;
 
 pub use dyadic::Dyadic;
 pub use report::{CounterSummary, PhaseReport, SolveReport};
-pub use rr_mp::{DivBackend, MulBackend, PolyMulBackend};
+pub use rr_mp::Profile;
 pub use rr_sched::{CancelReason, CancelToken, FaultAction, FaultInjector, FaultPlan};
 pub use session::{solve_batch, solve_batch_on, Runtime, Session, SolveLimits};
 pub use solver::{

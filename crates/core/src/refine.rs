@@ -484,9 +484,11 @@ mod tests {
     #[test]
     fn phases_are_attributed() {
         let p = Poly::from_i64(&[-2, 0, 1]);
-        let before = rr_mp::metrics::snapshot();
-        let _ = isolate(&p, 1, 2, 50, RefineStrategy::Hybrid);
-        let d = rr_mp::metrics::snapshot() - before;
+        // A private sink: the process default sink also sees the other
+        // tests of this binary, which run concurrently.
+        let ctx = rr_mp::SolveCtx::new(rr_mp::Profile::Paper);
+        let _ = ctx.run(|| isolate(&p, 1, 2, 50, RefineStrategy::Hybrid));
+        let d = ctx.snapshot();
         let newton = d.phase(Phase::Newton).mul_count;
         let bisect = d.phase(Phase::Bisection).mul_count;
         assert!(newton > 0, "newton did work");

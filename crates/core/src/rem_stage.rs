@@ -14,9 +14,9 @@
 //! that path is just [`rr_poly::remainder::remainder_sequence`].
 //!
 //! The exact division in each coefficient task rides the session's
-//! [`rr_mp::DivBackend`]: deep in the sequence the dividends reach
+//! [`rr_mp::Profile`]: deep in the sequence the dividends reach
 //! 10⁴–10⁵ bits and the `c_{i−1}²` divisors grow comparably, so
-//! `RR_DIV=newton` swaps Algorithm D for the 2-adic (Hensel) kernel
+//! `Profile::Fast` swaps Algorithm D for the 2-adic (Hensel) kernel
 //! there without changing any recorded cost. Every coefficient task of
 //! iteration `i` divides by the *same* `c_{i−1}²`, so [`IterData`] holds
 //! it as a prepared [`rr_mp::ExactDivisor`]: the tasks share one cached

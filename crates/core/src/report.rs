@@ -82,8 +82,7 @@ pub struct SolveReport {
     pub degraded: Option<crate::solver::Degradation>,
     /// Physical limb-buffer allocation counts per phase (see
     /// [`crate::SolveStats::alloc`]) — the observability face of the
-    /// scratch arena: ratios of these across `RR_ARENA=on/off` are what
-    /// `tools/check_allocs.py` gates on.
+    /// scratch arena: a warm solve's remainder phase records zero.
     pub alloc: rr_mp::AllocStats,
     /// The merged trace: phase/stage spans from the recorder, plus
     /// per-task spans and queue-depth counters from the scheduler.

@@ -6,9 +6,9 @@
 //! three pieces of per-solve context that used to be process-global to
 //! be owned explicitly:
 //!
-//! * **Backend** — which multiplication kernel a solve uses, carried by
-//!   the solve's [`rr_mp::SolveCtx`] and inherited by every worker task
-//!   (no more swapping the process-wide atomic around each run).
+//! * **Profile** — which kernels a solve uses, carried by the solve's
+//!   [`rr_mp::SolveCtx`] and inherited by every worker task (no
+//!   process-wide selection to swap around each run).
 //! * **Metrics** — each solve records into its own private sink, so
 //!   per-phase counts (Figures 2–7) are exact even while other solves
 //!   run concurrently; `stats.cost` needs no snapshot subtraction.
@@ -223,11 +223,9 @@ impl std::fmt::Debug for Runtime {
 }
 
 /// Always-on fleet metrics for solves ([`rr_obs::metrics`]): per-solve
-/// wall-time histogram plus outcome counters carrying the typed label
-/// set outcome × mul/poly/div backend × arena.
+/// wall-time histogram plus outcome counters labelled outcome × profile.
 mod metric_defs {
-    use crate::solver::SolverConfig;
-    use rr_mp::{DivBackend, MulBackend, PolyMulBackend};
+    use rr_mp::Profile;
     use rr_obs::metrics::{counter_with, Counter, Histogram};
     use std::sync::LazyLock;
 
@@ -237,46 +235,14 @@ mod metric_defs {
         "Per-solve wall time, successful solves (ns)"
     );
 
-    /// The `rr_solves_total` series for one (config, outcome) cell.
+    /// The `rr_solves_total` series for one (profile, outcome) cell.
     /// Label values are static enumerations, so the family's
-    /// cardinality is bounded (5 outcomes × 2×2×2 backends × 2 × 3).
-    pub(super) fn outcome_counter(config: &SolverConfig, outcome: &'static str) -> Counter {
+    /// cardinality is bounded (5 outcomes × 2 profiles).
+    pub(super) fn outcome_counter(profile: Profile, outcome: &'static str) -> Counter {
         counter_with(
             "rr_solves_total",
-            "Solve attempts by outcome and backend selection",
-            &[
-                ("outcome", outcome),
-                (
-                    "mul",
-                    match config.backend {
-                        MulBackend::Schoolbook => "schoolbook",
-                        MulBackend::Fast => "fast",
-                    },
-                ),
-                (
-                    "poly",
-                    match config.poly_mul {
-                        PolyMulBackend::Schoolbook => "schoolbook",
-                        PolyMulBackend::Kronecker => "kronecker",
-                    },
-                ),
-                (
-                    "div",
-                    match config.div {
-                        DivBackend::Schoolbook => "schoolbook",
-                        DivBackend::Newton => "newton",
-                    },
-                ),
-                ("arena", if config.arena { "on" } else { "off" }),
-                (
-                    "par",
-                    match config.par_mul {
-                        rr_mp::ParMulMode::Off => "off",
-                        rr_mp::ParMulMode::On => "on",
-                        rr_mp::ParMulMode::Auto => "auto",
-                    },
-                ),
-            ],
+            "Solve attempts by outcome and kernel profile",
+            &[("outcome", outcome), ("profile", profile.name())],
         )
     }
 }
@@ -284,7 +250,7 @@ mod metric_defs {
 /// A solve session: a [`SolverConfig`] bound to a [`Runtime`].
 ///
 /// Each [`Session::solve`] call runs under a fresh [`rr_mp::SolveCtx`]
-/// — its own backend selection and metrics sink — on a fresh pool scope,
+/// — its own kernel profile and metrics sink — on a fresh pool scope,
 /// so sessions (and concurrent calls on one session) never share mutable
 /// state. The session also accumulates the total cost of its solves.
 pub struct Session {
@@ -387,7 +353,7 @@ impl Session {
     }
 
     /// Feeds the always-on registry after a solve attempt: one outcome
-    /// counter tick (labeled by this session's backend selection) and,
+    /// counter tick (labeled by this session's profile) and,
     /// on success, the per-solve wall-time histogram. Observational
     /// only — never touches `stats.cost` or the result.
     fn record_solve_metrics(&self, result: Result<&RootsResult, &SolveError>) {
@@ -401,7 +367,7 @@ impl Session {
             Err(SolveError::TaskPanicked { .. }) => "panicked",
             Err(_) => "failed",
         };
-        metric_defs::outcome_counter(&self.config, outcome).inc();
+        metric_defs::outcome_counter(self.config.profile, outcome).inc();
         if let Ok(r) = result {
             metric_defs::SOLVE_WALL.record_duration(r.stats.wall);
         }
@@ -410,11 +376,7 @@ impl Session {
     /// The per-solve context plus, when any limit is set or the session
     /// injects faults, the supervision bundle sharing the same sink.
     fn ctx_and_supervision(&self, limits: &SolveLimits) -> (SolveCtx, Option<Supervision>) {
-        let ctx = SolveCtx::new(self.config.backend)
-            .with_poly_backend(self.config.poly_mul)
-            .with_div_backend(self.config.div)
-            .with_arena(self.config.arena)
-            .with_par_mul(self.config.par_mul);
+        let ctx = SolveCtx::new(self.config.profile);
         if limits.is_unlimited() && self.fault.is_none() {
             return (ctx, None);
         }
@@ -522,7 +484,7 @@ pub fn solve_batch_on(
 mod tests {
     use super::*;
     use rr_mp::metrics::Phase;
-    use rr_mp::{Int, MulBackend};
+    use rr_mp::{Int, Profile};
 
     fn wilkinson(n: i64) -> Poly {
         Poly::from_roots(&(1..=n).map(Int::from).collect::<Vec<_>>())
@@ -599,15 +561,14 @@ mod tests {
     }
 
     #[test]
-    fn sessions_with_different_backends_coexist() {
+    fn sessions_with_different_profiles_coexist() {
         let p = wilkinson(9);
-        let school = Session::new(SolverConfig::sequential(6));
-        let fast =
-            Session::new(SolverConfig::sequential(6).with_backend(MulBackend::Fast));
-        let a = school.solve(&p).unwrap();
+        let paper = Session::new(SolverConfig::sequential(6).with_profile(Profile::Paper));
+        let fast = Session::new(SolverConfig::sequential(6).with_profile(Profile::Fast));
+        let a = paper.solve(&p).unwrap();
         let b = fast.solve(&p).unwrap();
         assert_eq!(a.roots, b.roots);
-        assert_eq!(a.stats.cost, b.stats.cost); // metrics backend-invariant
+        assert_eq!(a.stats.cost, b.stats.cost); // metrics profile-invariant
     }
 
     #[test]

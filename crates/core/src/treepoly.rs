@@ -52,7 +52,7 @@ pub fn missing_right_tmat(rs: &RemainderSeq, k: usize) -> Mat2 {
 /// The exact divisor `c_k²·c_{k−1}²` of the combine step at split `k`,
 /// prepared for repeated exact division: every coefficient of the
 /// combine's eight entry-task divisions is by this one scalar, so under
-/// `RR_DIV=newton` they all share its cached 2-adic inverse.
+/// `Profile::Fast` they all share its cached 2-adic inverse.
 pub fn combine_divisor(rs: &RemainderSeq, k: usize) -> ExactDivisor {
     ExactDivisor::new(rs.c(k).square() * rs.c(k - 1).square())
 }

@@ -1,6 +1,6 @@
 //! Seeded chaos sweep: deterministic fault plans (panics + delays)
 //! derived from a seed are injected into supervised solves on a shared
-//! pool, across both multiplication backends.
+//! pool, under both kernel profiles.
 //!
 //! The invariant under injection: every solve either completes with
 //! results bit-identical to a clean solve, or fails with the typed
@@ -13,7 +13,7 @@
 //! different seeds.
 
 use rr_core::{FaultInjector, FaultPlan, Runtime, Session, SolveError, SolverConfig};
-use rr_mp::{Int, MulBackend};
+use rr_mp::{Int, Profile};
 use rr_poly::Poly;
 use std::time::Duration;
 
@@ -32,8 +32,8 @@ fn seeded_chaos_sweep_is_contained_and_deterministic() {
     let p = wilkinson(14);
     let rt = Runtime::new(3);
 
-    for backend in [MulBackend::Schoolbook, MulBackend::Fast] {
-        let cfg = SolverConfig::parallel(10, 3).with_backend(backend);
+    for profile in Profile::ALL {
+        let cfg = SolverConfig::parallel(10, 3).with_profile(profile);
         let reference = Session::with_runtime(cfg, &rt).solve(&p).unwrap();
 
         for k in 0..iters {
@@ -50,7 +50,7 @@ fn seeded_chaos_sweep_is_contained_and_deterministic() {
                 Ok(r) => {
                     assert_eq!(
                         r.roots, reference.roots,
-                        "seed {seed} ({backend:?}): faulted Ok must be bit-identical"
+                        "seed {seed} ({profile}): faulted Ok must be bit-identical"
                     );
                     assert_eq!(r.stats.cost, reference.stats.cost, "seed {seed}");
                 }
@@ -66,7 +66,7 @@ fn seeded_chaos_sweep_is_contained_and_deterministic() {
                         "seed {seed}: task {task_id} was not a planned site"
                     );
                 }
-                Err(other) => panic!("seed {seed} ({backend:?}): unexpected error {other}"),
+                Err(other) => panic!("seed {seed} ({profile}): unexpected error {other}"),
             }
 
             // Determinism: the same seed against the same input fails or

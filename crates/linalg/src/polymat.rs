@@ -46,11 +46,11 @@ impl Mat2 {
     /// matrix product is exactly four of these, schedulable independently.
     ///
     /// The two polynomial multiplications dispatch through the session's
-    /// active [`rr_mp::PolyMulBackend`]: under `Kronecker`, each becomes
+    /// active [`rr_mp::Profile`]: under `Fast`, each becomes
     /// (above the size crossover) a handful of packed big-integer
     /// products — the tree stage's entries reach degree ~n/2 with
     /// multi-thousand-bit coefficients, which is exactly the regime
-    /// where that pays. Recorded model counts are backend-invariant.
+    /// where that pays. Recorded model counts are profile-invariant.
     pub fn mul_entry(a: &Mat2, b: &Mat2, row: usize, col: usize) -> Poly {
         // Accumulate the second product into the first in place (sums are
         // free in the cost model) instead of allocating a third
@@ -73,14 +73,14 @@ impl Mat2 {
     /// Divides every coefficient of every entry by `d`, exactly.
     ///
     /// Every coefficient division rides the session's active
-    /// [`rr_mp::DivBackend`]: the tree stage's deep levels divide
+    /// [`rr_mp::Profile`]: the tree stage's deep levels divide
     /// 10⁴–10⁵-bit coefficients by the comparably sized `c_k²·c_{k−1}²`,
     /// which is exactly the long-divisor/long-quotient regime where the
     /// 2-adic (Hensel) kernel replaces the quadratic Algorithm D loop.
     /// The divisor is prepared *once* for the whole matrix
     /// ([`rr_mp::ExactDivisor`]), so all four entries' coefficients share
     /// one cached 2-adic inverse. Recorded model counts are
-    /// backend-invariant (charged above the kernel).
+    /// profile-invariant (charged above the kernel).
     pub fn div_scalar_exact(&self, d: &Int) -> Mat2 {
         self.div_scalar_exact_prepared(&rr_mp::ExactDivisor::new(d.clone()))
     }
@@ -192,20 +192,20 @@ mod tests {
     }
 
     #[test]
-    fn mul_entry_is_poly_backend_invariant() {
-        use rr_mp::{MulBackend, PolyMulBackend, SolveCtx};
+    fn mul_entry_is_profile_invariant() {
+        use rr_mp::{Profile, SolveCtx};
         // Tree-stage-shaped entries: moderate degree, growing coefficients.
         let roots: Vec<Int> = (-10..10).map(Int::from).collect();
         let f = Poly::from_roots(&roots);
         let g = f.derivative();
         let a = Mat2::new(f.clone(), g.clone(), -&g, f.clone());
         let b = Mat2::new(g.clone(), f.clone(), f.clone(), -&g);
-        let school_ctx = SolveCtx::new(MulBackend::Schoolbook);
-        let kron_ctx = SolveCtx::new(MulBackend::Fast).with_poly_backend(PolyMulBackend::Kronecker);
+        let school_ctx = SolveCtx::new(Profile::Paper);
+        let kron_ctx = SolveCtx::new(Profile::Fast);
         let school = school_ctx.run(|| Mat2::mul(&a, &b));
         let kron = kron_ctx.run(|| Mat2::mul(&a, &b));
         assert_eq!(school, kron);
-        // Identical model counts, and the Kronecker session really
+        // Identical model counts, and the Fast session really
         // packed (the entries are far above the crossover).
         assert_eq!(school_ctx.snapshot(), kron_ctx.snapshot());
         assert!(kron_ctx.kron_stats().kronecker_muls >= 8);
@@ -213,8 +213,8 @@ mod tests {
     }
 
     #[test]
-    fn div_scalar_exact_is_div_backend_invariant() {
-        use rr_mp::{DivBackend, MulBackend, SolveCtx};
+    fn div_scalar_exact_is_profile_invariant() {
+        use rr_mp::{Profile, SolveCtx};
         // Long coefficients over a long divisor: force the regime where
         // the Newton path actually dispatches (both divisor and
         // quotient far above the crossover).
@@ -227,13 +227,13 @@ mod tests {
             Poly::from_coeffs(vec![-&d]),
             Poly::from_coeffs(vec![big.clone(), d.clone(), big.clone()]),
         );
-        let school_ctx = SolveCtx::new(MulBackend::Schoolbook);
-        let newton_ctx = SolveCtx::new(MulBackend::Fast).with_div_backend(DivBackend::Newton);
+        let school_ctx = SolveCtx::new(Profile::Paper);
+        let newton_ctx = SolveCtx::new(Profile::Fast);
         let school = school_ctx.run(|| m.div_scalar_exact(&d));
         let newton = newton_ctx.run(|| m.div_scalar_exact(&d));
         assert_eq!(school, newton);
-        // Identical model counts, and the Newton session really took
-        // the 2-adic exact path while the schoolbook one never did —
+        // Identical model counts, and the Fast session really took the
+        // 2-adic exact path while the Paper one never did —
         // with the inverse lifted far fewer times than it divided
         // (shared across the whole matrix).
         assert_eq!(school_ctx.snapshot(), newton_ctx.snapshot());

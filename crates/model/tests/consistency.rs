@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 use rr_model::asymptotic::fit_exponent;
 use rr_model::{counts, interval_model, sizes};
-use rr_mp::metrics;
-use rr_mp::Int;
+use rr_mp::{Int, Profile, SolveCtx};
 use rr_poly::remainder::remainder_sequence;
 use rr_poly::Poly;
 
@@ -21,9 +20,11 @@ proptest! {
     ) {
         let ints: Vec<Int> = roots.iter().map(|&r| Int::from(r)).collect();
         let p = Poly::from_roots(&ints);
-        let before = metrics::snapshot();
-        let _ = remainder_sequence(&p).unwrap();
-        let observed = (metrics::snapshot() - before).total().mul_count;
+        // A private sink: the process default sink also sees the other
+        // tests of this binary, which run concurrently.
+        let ctx = SolveCtx::new(Profile::Paper);
+        let _ = ctx.run(|| remainder_sequence(&p)).unwrap();
+        let observed = ctx.snapshot().total().mul_count;
         prop_assert_eq!(observed, counts::remainder_mults(ints.len()));
     }
 

@@ -3,7 +3,7 @@
 //! The subresultant remainder sequence divides *every* coefficient of an
 //! iteration by the same scalar (`c²·d²` in the recurrence), and the tree
 //! stage divides every entry of a `Mat2` by the same `c²`. Under
-//! [`crate::DivBackend::Newton`] each of those divisions is a 2-adic
+//! [`crate::Profile::Fast`] each of those divisions is a 2-adic
 //! (Hensel) quotient recovery `q = (u/2^z)·v'⁻¹ mod 2^(64k)` — and the
 //! 2-adic inverse `v'⁻¹` depends only on the divisor. [`ExactDivisor`]
 //! computes it once, lazily, and shares it across all divisions by the
@@ -20,15 +20,16 @@
 //! the end-to-end differential tests assert physical counters are
 //! deterministic even for parallel solves.
 //!
-//! Under [`crate::DivBackend::Schoolbook`] the struct degrades to a plain
-//! wrapper around Algorithm D, and either way the cost charge is
-//! identical to [`Int::div_exact`]'s, so the recorded model is invariant
-//! under `RR_DIV` by construction.
+//! Under [`crate::Profile::Paper`] the struct degrades to a plain wrapper
+//! around Algorithm D, and either way the cost charge is identical to
+//! [`Int::div_exact`]'s, so the recorded model is profile-invariant by
+//! construction.
 
 use crate::int::Sign;
 use crate::limb::Limb;
 use crate::nat::{self, newton_div};
-use crate::{metrics, DivBackend, Int};
+use crate::session::active_profile;
+use crate::{metrics, Int, Profile};
 use parking_lot::RwLock;
 
 /// Quotient limb count at or above which a prepared division takes the
@@ -97,13 +98,12 @@ impl ExactDivisor {
 
     /// `u / d`, exactly — same contract and cost charge as
     /// [`Int::div_exact`], but divisions by the same prepared divisor
-    /// share one cached 2-adic inverse under
-    /// [`crate::DivBackend::Newton`].
+    /// share one cached 2-adic inverse under [`crate::Profile::Fast`].
     pub fn div_exact(&self, u: &Int) -> Int {
         metrics::record_div(u.bit_len(), self.d.bit_len());
-        let q = match nat::active_div_backend() {
-            DivBackend::Schoolbook => nat::div::div_exact(u.magnitude(), self.d.magnitude()),
-            DivBackend::Newton => self.div_exact_2adic(u.magnitude()),
+        let q = match active_profile() {
+            Profile::Paper => nat::div::div_exact(u.magnitude(), self.d.magnitude()),
+            Profile::Fast => self.div_exact_2adic(u.magnitude()),
         };
         Int::from_sign_mag(u.sign().mul(self.d.sign()), q)
     }
@@ -148,21 +148,21 @@ impl ExactDivisor {
     ///
     /// This is the subresultant remainder step's per-coefficient kernel
     /// (`f_{i+1,j} = (f_{i,j}·q₀ + f_{i,j−1}·q₁ − c_i²·f_{i−1,j}) / c_{i−1}²`).
-    /// Under [`crate::DivBackend::Newton`] the *entire* combination is
+    /// Under [`crate::Profile::Fast`] the *entire* combination is
     /// evaluated in the 2-adic domain: every product is a truncated
     /// low product mod `2^(64k)` (with `k` the quotient limb bound), the
     /// accumulator wraps in two's complement, and one more truncated
     /// product by the cached inverse recovers the signed quotient — so
     /// the full multiplications of the unfused step, not just its
-    /// division, shrink to quotient-sized work. Under `Schoolbook` the
+    /// division, shrink to quotient-sized work. Under `Paper` the
     /// combination is computed in full and divided by Algorithm D.
     ///
     /// The model charge is identical either way and computed from
     /// operand sizes alone: one multiplication per term pair (exactly
     /// what the unfused step records) and one division at the
-    /// accumulator's size bound — invariant under `RR_DIV` by
-    /// construction. A unit divisor charges no division, matching the
-    /// unfused step's `denominator = 1` special case.
+    /// accumulator's size bound — profile-invariant by construction. A
+    /// unit divisor charges no division, matching the unfused step's
+    /// `denominator = 1` special case.
     pub fn div_exact_dot(&self, pos: &[(&Int, &Int)], neg: &[(&Int, &Int)]) -> Int {
         let mut u_est: u64 = 0;
         for (x, y) in pos.iter().chain(neg) {
@@ -183,7 +183,7 @@ impl ExactDivisor {
         if unit
             || k < FUSED_DOT_THRESHOLD
             || self.odd.len() < 2
-            || nat::active_div_backend() == DivBackend::Schoolbook
+            || active_profile() == Profile::Paper
         {
             return self.dot_plain(pos, neg, unit);
         }
@@ -269,10 +269,10 @@ impl ExactDivisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MulBackend, SolveCtx};
+    use crate::SolveCtx;
 
     fn newton_ctx() -> SolveCtx {
-        SolveCtx::new(MulBackend::Fast).with_div_backend(DivBackend::Newton)
+        SolveCtx::new(Profile::Fast)
     }
 
     #[test]
@@ -335,12 +335,12 @@ mod tests {
     }
 
     #[test]
-    fn schoolbook_backend_matches() {
+    fn paper_profile_matches() {
         let d = Int::from(17u64).pow(300);
         let q = Int::from(19u64).pow(250);
         let u = &d * &q;
-        let school = SolveCtx::new(MulBackend::Schoolbook)
-            .run(|| ExactDivisor::new(d.clone()).div_exact(&u));
+        let school =
+            SolveCtx::new(Profile::Paper).run(|| ExactDivisor::new(d.clone()).div_exact(&u));
         let newton = newton_ctx().run(|| ExactDivisor::new(d.clone()).div_exact(&u));
         assert_eq!(school, q);
         assert_eq!(newton, q);
@@ -419,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_dot_model_charge_is_backend_invariant() {
+    fn fused_dot_model_charge_is_profile_invariant() {
         let d = Int::from(19u64).pow(320);
         let x0 = Int::from(23u64).pow(500);
         let y0 = Int::from(29u64).pow(480);
@@ -433,7 +433,7 @@ mod tests {
                 )
             })
         };
-        let school_ctx = SolveCtx::new(MulBackend::Schoolbook);
+        let school_ctx = SolveCtx::new(Profile::Paper);
         let newton_ctx = newton_ctx();
         assert_eq!(run(&school_ctx), q);
         assert_eq!(run(&newton_ctx), q);

@@ -165,8 +165,8 @@ impl Int {
         nat::cmp(&self.mag, &other.mag)
     }
 
-    /// `self * self` (recorded as one multiplication; uses the selected
-    /// backend's squaring kernel).
+    /// `self * self` (recorded as one multiplication; uses the active
+    /// profile's squaring kernel).
     pub fn square(&self) -> Int {
         let bits = self.bit_len();
         metrics::record_mul(bits, bits);
@@ -298,8 +298,8 @@ impl Int {
     pub fn div_rem(&self, d: &Int) -> (Int, Int) {
         assert!(!d.is_zero(), "division by zero");
         // The Algorithm D work estimate is charged before any kernel
-        // runs, so the recorded cost model is invariant under the
-        // division backend (`RR_DIV`) by construction.
+        // runs, so the recorded cost model is profile-invariant by
+        // construction.
         metrics::record_div(self.bit_len(), d.bit_len());
         let (q, r) = nat::div_rem_auto(&self.mag, &d.mag);
         (
@@ -311,13 +311,13 @@ impl Int {
     /// Exact division: `self / d` asserting (in debug builds) that the
     /// remainder is zero. The subresultant recurrences of `rr-poly` rely on
     /// divisions that are provably exact; this names that intent — and
-    /// under [`crate::DivBackend::Newton`] the exactness is exploited: the
+    /// under [`crate::Profile::Fast`] the exactness is exploited: the
     /// quotient is recovered 2-adically from low bits, with cost
     /// independent of the divisor's length.
     ///
     /// The cost charge is identical to [`Int::div_rem`]'s (the Algorithm D
     /// work estimate, recorded before any kernel runs), so the model stays
-    /// invariant under `RR_DIV`.
+    /// profile-invariant.
     ///
     /// # Panics
     /// Panics if `d` is zero.
@@ -491,7 +491,7 @@ fn add_impl(a: &Int, b: &Int) -> Int {
 
 fn mul_impl(a: &Int, b: &Int) -> Int {
     // Recorded before the kernel dispatch: the event and its ‖a‖·‖b‖ bit
-    // cost are identical under both multiplication backends.
+    // cost are identical under both profiles.
     metrics::record_mul(a.bit_len(), b.bit_len());
     Int::from_sign_mag(a.sign.mul(b.sign), nat::mul_auto(&a.mag, &b.mag))
 }

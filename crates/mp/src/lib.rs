@@ -12,41 +12,30 @@
 //! both an operation count and a bit cost `‖a‖·‖b‖` (the product of the
 //! operand bit lengths — the paper's unit of bit complexity).
 //!
-//! ## Two multiplication kernels, one cost model
+//! ## Two kernel profiles, one cost model
 //!
 //! The paper's Section 4 analysis, and its Figures 2–7, are stated in
 //! multiplication *events* and operand *bit lengths* — exactly what the
 //! [`metrics`] module records, and it records them at the [`Int`] level
-//! **before** any kernel runs. The limb-level kernel is therefore
-//! swappable without disturbing the reproduction: [`backend`] selects
-//! between the paper-faithful schoolbook routine ([`nat::mul`], the
-//! default, matching the quadratic `mp` package the paper timed) and an
-//! opt-in Karatsuba kernel ([`nat::kmul`], `RR_MUL_BACKEND=fast`) for
-//! production-scale runs. The two are held bit-for-bit equal by the
-//! differential suite in `tests/kernel_diff.rs`; only wall-clock
-//! *seconds* (Table 2, Figure 8) depend on the choice.
-//!
-//! Division is swappable the same way: the paper-faithful Algorithm D
-//! kernel ([`nat::div`], the default) or, under `RR_DIV=newton`, the
-//! kernels in [`nat::newton_div`] — Newton-iteration reciprocal
-//! `div_rem` above a calibrated crossover, 2-adic (Hensel) exact
-//! division whose cost is independent of the divisor's length, and,
-//! through [`ExactDivisor`], cached per-divisor inverses plus a fused
-//! dot-product division for the subresultant remainder step. The
-//! division cost is charged at the `Int` layer before any kernel runs,
-//! so the recorded model is invariant under the switch;
-//! `tests/div_diff.rs` holds the kernels bit-for-bit equal.
+//! **before** any kernel runs. The kernels are therefore swappable
+//! without disturbing the reproduction: a [`Profile`] selects between
+//! the paper-faithful quadratic kernels ([`Profile::Paper`], the default,
+//! matching the `mp` package the paper timed) and every size-dispatched
+//! fast kernel ([`Profile::Fast`]: Karatsuba, Kronecker substitution,
+//! Newton/2-adic division through [`ExactDivisor`], fork-join products).
+//! The kernel-level differential suites hold each fast kernel
+//! bit-for-bit equal to its quadratic twin; only wall-clock *seconds*
+//! (Table 2, Figure 8) depend on the choice.
 //!
 //! ## Sessions
 //!
-//! Backend selection and metrics attribution are carried per solve by a
+//! The profile and metrics attribution are carried per solve by a
 //! [`SolveCtx`] (see the [`session`] module): while a context is
-//! installed on a thread, its backend drives kernel dispatch and its
+//! installed on a thread, its profile drives kernel dispatch and its
 //! private sink receives every recorded event, so concurrent solves
-//! with different backends neither corrupt each other's selection nor
-//! cross-attribute counts. The process-global [`backend`] atomic and the
-//! [`metrics::snapshot`] default sink remain as the compatibility layer
-//! for code running outside any session.
+//! with different profiles neither corrupt each other's selection nor
+//! cross-attribute counts. Code running outside any session dispatches
+//! as `Paper` and records into the [`metrics::snapshot`] default sink.
 //!
 //! ## Example
 //!
@@ -64,11 +53,11 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod gcd;
 pub mod limb;
 pub mod metrics;
 pub mod nat;
+pub mod profile;
 pub mod scratch;
 pub mod session;
 
@@ -76,12 +65,8 @@ mod divisor;
 mod fmt;
 mod int;
 
-pub use backend::{
-    arena_enabled, div_backend, mul_backend, par_mul_mode, poly_mul_backend, set_arena_enabled,
-    set_div_backend, set_mul_backend, set_par_mul_mode, set_poly_mul_backend, DivBackend,
-    MulBackend, ParMulMode, PolyMulBackend,
-};
 pub use divisor::ExactDivisor;
 pub use int::{Int, Sign};
 pub use metrics::{AllocStats, KroneckerStats, MetricsSink, NewtonDivStats, ParMulStats, PhaseAlloc};
-pub use session::{active_poly_mul_backend, CtxGuard, SolveCtx};
+pub use profile::Profile;
+pub use session::{active_profile, CtxGuard, SolveCtx};

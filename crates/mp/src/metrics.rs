@@ -49,9 +49,9 @@
 //! session:
 //!
 //! ```
-//! use rr_mp::{metrics::Phase, Int, MulBackend, SolveCtx};
+//! use rr_mp::{metrics::Phase, Int, Profile, SolveCtx};
 //!
-//! let ctx = SolveCtx::new(MulBackend::Schoolbook);
+//! let ctx = SolveCtx::new(Profile::Paper);
 //! ctx.run(|| {
 //!     rr_mp::metrics::with_phase(Phase::Sieve, || {
 //!         let _ = Int::from(11u64) * Int::from(13u64);
@@ -138,13 +138,13 @@ pub(crate) struct ThreadCounters {
     div_bits: [AtomicU64; NUM_PHASES],
     // Kronecker execution counters. Deliberately NOT part of
     // `CostSnapshot`: the paper cost model above must stay identical
-    // across polynomial backends (its `PartialEq` backs the
-    // backend-invariance assertions), while these describe what the
+    // across profiles (its `PartialEq` backs the profile-invariance
+    // assertions), while these describe what the
     // Kronecker path actually executed. Read via `KroneckerStats`.
     kron_muls: AtomicU64,
     kron_packed_bits: AtomicU64,
     // Newton-division execution counters; outside `CostSnapshot` for the
-    // same reason (div cost is charged backend-invariantly at the `Int`
+    // same reason (div cost is charged profile-invariantly at the `Int`
     // layer). Read via `NewtonDivStats`.
     newton_divs: AtomicU64,
     newton_recip_iters: AtomicU64,
@@ -153,7 +153,7 @@ pub(crate) struct ThreadCounters {
     newton_hensel_steps: AtomicU64,
     // Parallel-multiplication execution counters; outside `CostSnapshot`
     // for the same reason (the model charge is recorded at the `Int`
-    // layer before the kernel runs, so it cannot vary with `RR_PAR_MUL`).
+    // layer before the kernel runs, so it cannot vary with the split).
     // Read via `ParMulStats`.
     parmul_products: AtomicU64,
     parmul_tasks: AtomicU64,
@@ -162,8 +162,8 @@ pub(crate) struct ThreadCounters {
     parmul_work_ns: AtomicU64,
     parmul_span_ns: AtomicU64,
     // Physical limb-buffer allocations per phase (scratch-arena cold
-    // misses and gate-off acquisitions); outside `CostSnapshot` because
-    // they vary with `RR_ARENA` while the model cost must not. Read via
+    // misses); outside `CostSnapshot` because they vary with how warm
+    // each thread's arena is while the model cost must not. Read via
     // `AllocStats`.
     alloc_count: [AtomicU64; NUM_PHASES],
     alloc_bytes: [AtomicU64; NUM_PHASES],
@@ -235,8 +235,8 @@ impl ThreadCounters {
 /// as opposed to what the paper cost model charged for it.
 ///
 /// Kept separate from [`CostSnapshot`] on purpose: the model counters
-/// are asserted bit-identical across polynomial backends, so anything
-/// that *varies* with the backend must live outside them.
+/// are asserted bit-identical across profiles, so anything that
+/// *varies* with the profile must live outside them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KroneckerStats {
     /// Number of polynomial products routed through Kronecker
@@ -253,7 +253,7 @@ pub struct KroneckerStats {
 ///
 /// Kept separate from [`CostSnapshot`] for the same reason as
 /// [`KroneckerStats`]: the model counters are asserted bit-identical
-/// across division backends, so anything that varies with `RR_DIV`
+/// across profiles, so anything that varies with the division kernel
 /// must live outside them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NewtonDivStats {
@@ -286,7 +286,7 @@ pub struct NewtonDivStats {
 /// [`KroneckerStats`]: the model charge for every product is recorded at
 /// the `Int` dispatch layer *before* the kernel runs, so it is identical
 /// whether the kernel then executes serially or split across workers —
-/// anything that varies with `RR_PAR_MUL` must live outside the model
+/// anything that varies with the split must live outside the model
 /// counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ParMulStats {
@@ -349,8 +349,8 @@ impl AddAssign for PhaseAlloc {
 /// opposed to what the paper cost model charged.
 ///
 /// Kept separate from [`CostSnapshot`] on purpose: the model counters
-/// are asserted bit-identical with arenas on and off (`RR_ARENA`), so a
-/// counter whose whole point is to *vary* with the arena gate must live
+/// are asserted bit-identical across solves, so a counter whose whole
+/// point is to *vary* with how warm each thread's arena is must live
 /// outside them — the same separation as [`KroneckerStats`] and
 /// [`NewtonDivStats`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

@@ -1,4 +1,4 @@
-//! Karatsuba multiplication of magnitudes — the `Fast` backend kernel.
+//! Karatsuba multiplication of magnitudes — the `Profile::Fast` kernel.
 //!
 //! Above [`KARATSUBA_THRESHOLD`] limbs the routines here recurse with the
 //! three-multiplication split
@@ -17,7 +17,7 @@
 //! [`crate::metrics`]: cost attribution happens once per `Int`
 //! multiplication in `Int::mul`/`Int::square`, before any kernel runs,
 //! which is what keeps the paper's predicted-vs-observed counts
-//! identical under both backends (see [`crate::backend`]).
+//! identical under both profiles (see [`crate::profile`]).
 
 use super::{mul, trim};
 use crate::limb::Limb;

@@ -5,12 +5,12 @@
 //! zero). All functions here either require normalized inputs or preserve
 //! the invariant on their outputs, as documented.
 //!
-//! The linear routines (add/sub/shift) and division are the classical
-//! algorithms. Multiplication has two interchangeable kernels — the
-//! classical schoolbook routine in [`mul`] and Karatsuba in [`kmul`] —
-//! selected per session via [`crate::SolveCtx`], falling back to the
-//! process-wide [`crate::backend`] compatibility layer when no context
-//! is installed; see the crate docs for how this coexists with the
+//! The linear routines (add/sub/shift) are the classical algorithms.
+//! Multiplication and division each have a quadratic kernel and a fast
+//! family — schoolbook [`mul`] vs Karatsuba [`kmul`] (and fork-join
+//! [`parmul`]), Algorithm D [`div`] vs [`newton_div`] — selected by the
+//! [`crate::Profile`] of the installed [`crate::SolveCtx`] (`Paper` when
+//! none is installed); see the crate docs for how this coexists with the
 //! paper's quadratic cost model.
 
 pub mod div;
@@ -19,76 +19,74 @@ pub mod mul;
 pub mod newton_div;
 pub mod parmul;
 
-use crate::backend::{mul_backend, DivBackend, MulBackend, ParMulMode};
 use crate::limb::{DoubleLimb, Limb, LIMB_BITS};
+use crate::session::active_profile;
+use crate::Profile;
 use std::cmp::Ordering;
 
-/// The backend to dispatch to: the installed session's choice, else the
-/// process-global selection.
-#[inline]
-fn active_backend() -> MulBackend {
-    crate::session::current_backend().unwrap_or_else(mul_backend)
-}
-
-/// Whether this product should go through the fork-join splitter
+/// Whether a `Fast` product should go through the fork-join splitter
 /// ([`parmul`]): enough schoolbook-proxy work (`a.len()·b.len()`, in
-/// limb-pairs) to fund at least one three-way fork at the active split
-/// threshold `t` ([`parmul::par_mul_threshold`], default
-/// [`parmul::PAR_MUL_THRESHOLD`] limbs) — i.e. `work ≥ 3·t²`, so every
+/// limb-pairs) to fund at least one three-way fork at
+/// [`parmul::PAR_MUL_THRESHOLD`] `t` — i.e. `work ≥ 3·t²`, so every
 /// subtask carries at least a `t × t` product's worth of work — and the
-/// active [`ParMulMode`] agrees — `On` unconditionally, `Auto` only
-/// when the ambient pool scope reports idle capacity
-/// ([`rr_sched::current_parallelism`] > 1; with no scope or a saturated
-/// queue the split would only add publish/retract overhead). The work
-/// proxy (rather than a min-operand-length gate) lets heavily
-/// unbalanced long×short products — ubiquitous in the Newton division's
-/// truncated-piece arithmetic — engage the tiled decomposition even
-/// when the short side alone is below `t`. Only the `Fast` backend
-/// splits: the decomposition *is* the Karatsuba split, and `Schoolbook`
-/// exists to mirror the paper's quadratic `mp` kernel exactly.
+/// ambient pool scope reports idle capacity
+/// ([`rr_sched::current_parallelism`] above 1; with no scope or a
+/// saturated queue the split would only add publish/retract overhead).
+/// The work proxy (rather than a
+/// min-operand-length gate) lets heavily unbalanced long×short products
+/// — ubiquitous in the Newton division's truncated-piece arithmetic —
+/// engage the tiled decomposition even when the short side alone is
+/// below `t`. Only `Fast` splits: the decomposition *is* the Karatsuba
+/// split, and `Paper` exists to mirror the paper's quadratic `mp`
+/// kernel exactly.
 #[inline]
 fn par_mul_engaged(work: usize) -> bool {
-    let t = parmul::par_mul_threshold();
-    if work < 3 * t * t {
-        return false;
-    }
-    match crate::session::par_mul_active() {
-        ParMulMode::Off => false,
-        ParMulMode::On => true,
-        ParMulMode::Auto => rr_sched::current_parallelism() > 1,
+    let t = parmul::PAR_MUL_THRESHOLD;
+    work >= 3 * t * t && rr_sched::current_parallelism() > 1
+}
+
+/// The `Fast` product kernel: fork-join when [`par_mul_engaged`], else
+/// serial Karatsuba.
+#[inline]
+fn fast_mul_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>) {
+    if par_mul_engaged(a.len() * b.len()) {
+        parmul::mul_into(a, b, out);
+    } else {
+        kmul::mul_into(a, b, out);
     }
 }
 
-/// Product of two magnitudes using the active backend (the installed
-/// [`crate::SolveCtx`]'s, else [`crate::backend::mul_backend`]).
+/// The `Fast` squaring kernel (same policy as [`fast_mul_into`]).
+#[inline]
+fn fast_sqr_into(a: &[Limb], out: &mut Vec<Limb>) {
+    if par_mul_engaged(a.len() * a.len()) {
+        parmul::square_into(a, out);
+    } else {
+        kmul::square_into(a, out);
+    }
+}
+
+/// Product of two magnitudes using the active profile's kernel.
 #[inline]
 pub fn mul_auto(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
-    match active_backend() {
-        MulBackend::Schoolbook => mul::mul(a, b),
-        MulBackend::Fast => {
+    match active_profile() {
+        Profile::Paper => mul::mul(a, b),
+        Profile::Fast => {
             let mut out = Vec::new();
-            if par_mul_engaged(a.len() * b.len()) {
-                parmul::mul_into(a, b, &mut out);
-            } else {
-                kmul::mul_into(a, b, &mut out);
-            }
+            fast_mul_into(a, b, &mut out);
             out
         }
     }
 }
 
-/// Square of a magnitude using the active backend.
+/// Square of a magnitude using the active profile's kernel.
 #[inline]
 pub fn sqr_auto(a: &[Limb]) -> Vec<Limb> {
-    match active_backend() {
-        MulBackend::Schoolbook => mul::square(a),
-        MulBackend::Fast => {
+    match active_profile() {
+        Profile::Paper => mul::square(a),
+        Profile::Fast => {
             let mut out = Vec::new();
-            if par_mul_engaged(a.len() * a.len()) {
-                parmul::square_into(a, &mut out);
-            } else {
-                kmul::square_into(a, &mut out);
-            }
+            fast_sqr_into(a, &mut out);
             out
         }
     }
@@ -103,15 +101,9 @@ pub fn sqr_auto(a: &[Limb]) -> Vec<Limb> {
 /// for safe callers.
 #[inline]
 pub fn mul_auto_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>) {
-    match active_backend() {
-        MulBackend::Schoolbook => mul::mul_into(a, b, out),
-        MulBackend::Fast => {
-            if par_mul_engaged(a.len() * b.len()) {
-                parmul::mul_into(a, b, out);
-            } else {
-                kmul::mul_into(a, b, out);
-            }
-        }
+    match active_profile() {
+        Profile::Paper => mul::mul_into(a, b, out),
+        Profile::Fast => fast_mul_into(a, b, out),
     }
 }
 
@@ -119,43 +111,30 @@ pub fn mul_auto_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>) {
 /// [`mul_auto_into`]).
 #[inline]
 pub fn sqr_auto_into(a: &[Limb], out: &mut Vec<Limb>) {
-    match active_backend() {
-        MulBackend::Schoolbook => mul::mul_into(a, a, out),
-        MulBackend::Fast => {
-            if par_mul_engaged(a.len() * a.len()) {
-                parmul::square_into(a, out);
-            } else {
-                kmul::square_into(a, out);
-            }
-        }
+    match active_profile() {
+        Profile::Paper => mul::mul_into(a, a, out),
+        Profile::Fast => fast_sqr_into(a, out),
     }
 }
 
-/// The division backend to dispatch to: the installed session's choice,
-/// else the process-global selection (`RR_DIV`).
-#[inline]
-pub(crate) fn active_div_backend() -> DivBackend {
-    crate::session::current_div_backend().unwrap_or_else(crate::backend::div_backend)
-}
-
-/// Divides `u` by `v` using the active division backend — the single
-/// dispatching entry point `Int::div_rem` (and through it `div_exact`,
-/// the subresultant remainder steps, and every other division in the
-/// workspace) routes through. Both kernels return identical
-/// `(quotient, remainder)` pairs; only wall-clock differs.
+/// Divides `u` by `v` using the active profile's kernel — the single
+/// dispatching entry point `Int::div_rem` (and through it every
+/// truncating division in the workspace) routes through. Both kernels
+/// return identical `(quotient, remainder)` pairs; only wall-clock
+/// differs.
 ///
 /// # Panics
 /// Panics if `v` is zero.
 #[inline]
 pub fn div_rem_auto(u: &[Limb], v: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
-    match active_div_backend() {
-        DivBackend::Schoolbook => div::div_rem(u, v),
-        DivBackend::Newton => newton_div::div_rem(u, v),
+    match active_profile() {
+        Profile::Paper => div::div_rem(u, v),
+        Profile::Fast => newton_div::div_rem(u, v),
     }
 }
 
 /// Exact division `u / v` (zero remainder, debug-asserted) using the
-/// active division backend. Under [`DivBackend::Newton`] this is NOT the
+/// active profile's kernel. Under [`Profile::Fast`] this is NOT the
 /// reciprocal kernel but the 2-adic (Hensel) one: exactness lets the
 /// quotient be recovered from low bits alone, with cost independent of
 /// the divisor's length. `Int::div_exact` — and through it the
@@ -166,9 +145,9 @@ pub fn div_rem_auto(u: &[Limb], v: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
 /// Panics if `v` is zero.
 #[inline]
 pub fn div_exact_auto(u: &[Limb], v: &[Limb]) -> Vec<Limb> {
-    match active_div_backend() {
-        DivBackend::Schoolbook => div::div_exact(u, v),
-        DivBackend::Newton => newton_div::div_exact(u, v),
+    match active_profile() {
+        Profile::Paper => div::div_exact(u, v),
+        Profile::Fast => newton_div::div_exact(u, v),
     }
 }
 

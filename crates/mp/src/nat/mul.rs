@@ -1,10 +1,10 @@
-//! Schoolbook multiplication of magnitudes — the default backend kernel.
+//! Schoolbook multiplication of magnitudes — the `Profile::Paper` kernel.
 //!
 //! Quadratic: multiplying a `p`-bit by a `q`-bit integer costs
 //! `Θ(p·q)` bit operations, matching the UNIX `mp` package whose
 //! timings the paper's Section 4 analysis models — which is why this
 //! kernel stays the default. The subquadratic alternative lives in
-//! [`super::kmul`] (Karatsuba, opt-in via [`crate::backend`]) and also
+//! [`super::kmul`] (Karatsuba, under [`crate::Profile::Fast`]) and also
 //! serves as the sub-threshold base case of its recursion; the
 //! `rr-model` predictors are stated in multiplication events and bit
 //! lengths, which [`crate::metrics`] records identically under either
@@ -120,8 +120,8 @@ pub(crate) fn add_back(u: &mut [Limb], v: &[Limb]) -> Limb {
 }
 
 /// Convenience wrapper producing a normalized result from possibly
-/// denormalized inputs (used by tests). Dispatches through the selected
-/// backend, so under `Fast` large products divide-and-conquer.
+/// denormalized inputs (used by tests). Dispatches through the active
+/// profile, so under `Fast` large products divide-and-conquer.
 pub fn mul_normalizing(a: Vec<Limb>, b: Vec<Limb>) -> Vec<Limb> {
     super::mul_auto(&normalized(a), &normalized(b))
 }

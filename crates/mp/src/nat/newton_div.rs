@@ -1,4 +1,4 @@
-//! Newton-iteration reciprocal division — the `DivBackend::Newton`
+//! Newton-iteration reciprocal division — the `Profile::Fast` division
 //! kernel.
 //!
 //! Knuth's Algorithm D ([`super::div`]) computes one quotient limb per
@@ -58,8 +58,8 @@
 //!
 //! Like the multiplication kernels, these functions record **nothing**
 //! in the paper cost model: `Int::div_rem` charges the Algorithm D work
-//! estimate before any kernel runs, so `CostSnapshot` is invariant
-//! under `RR_DIV` by construction. What physically ran is recorded in
+//! estimate before any kernel runs, so `CostSnapshot` is
+//! profile-invariant by construction. What physically ran is recorded in
 //! [`crate::metrics::NewtonDivStats`] and, for traced solves, a `"div"`
 //! span.
 
@@ -279,7 +279,7 @@ pub(crate) fn mul_low_into(a: &[Limb], b: &[Limb], n: usize, out: &mut Vec<Limb>
     let (a0, a1) = a.split_at(h.min(a.len()));
     let (b0, b1) = b.split_at(h.min(b.len()));
     // a0·b0 in full (2h ≥ n limbs of it are kept), via the active
-    // backend's full-product kernel; one scratch buffer serves the full
+    // profile's full-product kernel; one scratch buffer serves the full
     // product and then both recursive low products in turn.
     let mut p = crate::scratch::take(a0.len() + b0.len());
     super::mul_auto_into(a0, b0, &mut p);

@@ -1,4 +1,5 @@
-//! Fork-join parallel multiplication — the `RR_PAR_MUL` kernel layer.
+//! Fork-join parallel multiplication — the `Profile::Fast` kernel layer
+//! for products too large for one worker.
 //!
 //! The paper's parallelism lives *between* polynomial-level tasks, but
 //! at n ≥ 64 the wall-clock of a single solve concentrates inside
@@ -49,17 +50,17 @@
 //! Like the serial kernels, nothing here records into the paper cost
 //! model: [`crate::metrics`] charges each product once at the `Int`
 //! layer before any kernel runs, which is what keeps `figs2_5`/`table1`
-//! bit-identical across `RR_PAR_MUL`. What the splitter *executed* is
+//! bit-identical across profiles. What the splitter *executed* is
 //! recorded separately via [`crate::metrics::record_parmul`].
 
 use super::{kmul, trim};
 use crate::limb::Limb;
 use kmul::{add_at, trimmed};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Default granularity of the split layer, in limbs: a product engages
+/// Granularity of the split layer, in limbs: a product engages
 /// when its schoolbook-proxy work `a.len()·b.len()` can fund a fork of
 /// threshold-sized subtasks (≥ 3·t² limb-pairs, see
 /// `super::par_mul_engaged`), and no leaf subtask carries much less
@@ -71,42 +72,11 @@ use std::time::Instant;
 /// n ≥ 64) sit well above the engage floor and split several levels
 /// deep. Calibrated with `parmul_ablation --sweep` (see
 /// EXPERIMENTS.md): 32 is the lowest setting whose single-worker
-/// overhead stays within noise of `RR_PAR_MUL=off` at every measured
+/// overhead stays within noise of the serial kernel at every measured
 /// degree; lower settings (16) buy ~10 more points of remainder-phase
 /// split coverage at a 20–30 % single-worker cost, worthwhile only
-/// when idle workers are guaranteed (`RR_PAR_MUL_THRESHOLD=16`).
+/// when idle workers are guaranteed.
 pub const PAR_MUL_THRESHOLD: usize = 32;
-
-/// Process-wide override of [`PAR_MUL_THRESHOLD`]; 0 = not yet resolved
-/// (resolve consults `RR_PAR_MUL_THRESHOLD` once).
-static THRESHOLD: AtomicUsize = AtomicUsize::new(0);
-
-/// The active split threshold: [`PAR_MUL_THRESHOLD`] unless overridden
-/// by [`set_par_mul_threshold`] or the `RR_PAR_MUL_THRESHOLD`
-/// environment variable (read once, first use).
-pub fn par_mul_threshold() -> usize {
-    match THRESHOLD.load(Ordering::Relaxed) {
-        0 => {
-            let t = std::env::var("RR_PAR_MUL_THRESHOLD")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .filter(|&t: &usize| t >= 2)
-                .unwrap_or(PAR_MUL_THRESHOLD);
-            THRESHOLD.store(t, Ordering::Relaxed);
-            t
-        }
-        t => t,
-    }
-}
-
-/// Overrides the split threshold for this process — a calibration knob
-/// for `parmul_ablation --sweep`, not a per-solve setting (use
-/// `RR_PAR_MUL` / `SolverConfig::with_par_mul` to gate splitting).
-/// Clamped to ≥ 2; values below the serial kernel's own thresholds
-/// just burn fork overhead on tiny products.
-pub fn set_par_mul_threshold(limbs: usize) {
-    THRESHOLD.store(limbs.max(2), Ordering::Relaxed);
-}
 
 /// Ceiling on leaf subtasks per top-level product.
 ///
@@ -130,15 +100,16 @@ pub const PAR_MUL_TASK_BUDGET: usize = 64;
 /// [`PAR_MUL_TASK_BUDGET`]. Keeps leaf granularity roughly constant
 /// (≈ one threshold-sized product per leaf) across the four decades of
 /// product sizes the solver generates.
-fn task_budget(work: usize) -> usize {
-    let t = par_mul_threshold();
+fn task_budget(work: usize, t: usize) -> usize {
     PAR_MUL_TASK_BUDGET.min(work / (t * t))
 }
 
-/// Subtask/steal tally for one top-level product, shared across the
-/// fork-join tree by reference (atomics: leaves run on other workers).
+/// The split threshold `t` plus the subtask/steal tally for one
+/// top-level product, shared across the fork-join tree by reference
+/// (atomics: leaves run on other workers).
 #[derive(Default)]
 struct SplitCounters {
+    t: usize,
     tasks: AtomicU64,
     steals: AtomicU64,
 }
@@ -227,16 +198,23 @@ impl SplitCounters {
 /// (cleared and fully overwritten, dirty scratch buffers welcome,
 /// no aliasing with the operands).
 ///
-/// Callers gate on size and mode — see `super::par_mul_engaged`; calling
-/// this below [`PAR_MUL_THRESHOLD`] is correct but pays the counter and
-/// span overhead for a product the tree will not split.
+/// Callers gate on size and idle capacity — see `super::par_mul_engaged`;
+/// calling this below [`PAR_MUL_THRESHOLD`] is correct but pays the
+/// counter and span overhead for a product the tree will not split.
 pub fn mul_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>) {
+    mul_with_threshold_into(a, b, PAR_MUL_THRESHOLD, out);
+}
+
+/// [`mul_into`] with an explicit split threshold `t` (clamped to ≥ 2) —
+/// the calibration entry point `parmul_ablation --sweep` drives, the way
+/// [`super::newton_div::div_rem_with_threshold`] exposes its crossover.
+pub fn mul_with_threshold_into(a: &[Limb], b: &[Limb], t: usize, out: &mut Vec<Limb>) {
     let (a, b) = (trimmed(a), trimmed(b));
     let _span = rr_obs::span("parmul", "mul")
         .with_arg("a_limbs", a.len() as u64)
         .with_arg("b_limbs", b.len() as u64);
-    let counters = SplitCounters::default();
-    let budget = task_budget(a.len() * b.len());
+    let counters = SplitCounters { t: t.max(2), ..SplitCounters::default() };
+    let budget = task_budget(a.len() * b.len(), counters.t);
     let (work, span) = measured(|| mul_rec(a, b, out, &counters, budget));
     record(&counters, super::bit_len(a).max(super::bit_len(b)), work, span);
 }
@@ -246,8 +224,8 @@ pub fn mul_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>) {
 pub fn square_into(a: &[Limb], out: &mut Vec<Limb>) {
     let a = trimmed(a);
     let _span = rr_obs::span("parmul", "sqr").with_arg("a_limbs", a.len() as u64);
-    let counters = SplitCounters::default();
-    let budget = task_budget(a.len() * a.len());
+    let counters = SplitCounters { t: PAR_MUL_THRESHOLD, ..SplitCounters::default() };
+    let budget = task_budget(a.len() * a.len(), counters.t);
     let (work, span) = measured(|| sqr_rec(a, out, &counters, budget));
     record(&counters, super::bit_len(a), work, span);
 }
@@ -273,7 +251,7 @@ fn record(c: &SplitCounters, operand_bits: u64, work_ns: u64, span_ns: u64) {
 /// a threshold-sized product or the remaining task `budget` cannot
 /// fund another three-way fork.
 fn mul_rec(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>, c: &SplitCounters, budget: usize) {
-    let t = par_mul_threshold();
+    let t = c.t;
     if budget < 3 || a.len() * b.len() < t * t {
         kmul::mul_into(a, b, out);
         return;
@@ -333,7 +311,7 @@ fn mul_rec(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>, c: &SplitCounters, budge
 /// Recursive squaring splitter: the same tree with both operands equal,
 /// so every subproduct is itself a square.
 fn sqr_rec(a: &[Limb], out: &mut Vec<Limb>, c: &SplitCounters, budget: usize) {
-    if budget < 3 || a.len() < par_mul_threshold() {
+    if budget < 3 || a.len() < c.t {
         kmul::square_into(a, out);
         return;
     }
@@ -476,7 +454,7 @@ mod tests {
     /// and must stay bit-identical to the serial kernels.
     #[test]
     fn tiled_split_with_subthreshold_short_matches_schoolbook() {
-        let ctx = crate::SolveCtx::new(crate::MulBackend::Fast);
+        let ctx = crate::SolveCtx::new(crate::Profile::Fast);
         let a = limbs(PAR_MUL_THRESHOLD * 8, 10);
         let b = limbs(PAR_MUL_THRESHOLD / 2, 11);
         ctx.run(|| {
@@ -499,7 +477,7 @@ mod tests {
 
     #[test]
     fn below_threshold_falls_through_without_recording() {
-        let ctx = crate::SolveCtx::new(crate::MulBackend::Fast);
+        let ctx = crate::SolveCtx::new(crate::Profile::Fast);
         let a = limbs(PAR_MUL_THRESHOLD - 1, 6);
         ctx.run(|| {
             let mut out = Vec::new();
@@ -512,7 +490,7 @@ mod tests {
 
     #[test]
     fn split_products_record_execution_stats() {
-        let ctx = crate::SolveCtx::new(crate::MulBackend::Fast);
+        let ctx = crate::SolveCtx::new(crate::Profile::Fast);
         let a = limbs(PAR_MUL_THRESHOLD * 2, 7);
         ctx.run(|| {
             let mut out = Vec::new();

@@ -9,19 +9,15 @@
 //! temporaries with [`take`] and return them with [`put`], so in steady
 //! state a worker reuses the same few buffers for the whole solve.
 //!
-//! ## One code path, measured on/off
+//! ## Counted cold misses
 //!
-//! The arena is gated by `RR_ARENA` (default **on**; see
-//! [`crate::backend::arena_enabled`]) and per solve by
-//! [`crate::SolveCtx::with_arena`], but rewritten callers never branch
-//! on the gate: they always call [`take`]/[`put`]. With the gate off,
-//! [`take`] falls through to a fresh allocation and [`put`] drops the
-//! buffer — so "off" measures the same code with reuse disabled, and
-//! every acquisition that actually hit the allocator (all of them when
-//! off, only cold misses when on) is counted via
-//! [`crate::metrics::record_alloc`]. The allocation reduction reported
-//! in `results/BENCH_arena.json` is the on/off difference of that
-//! counter, not an estimate.
+//! Reuse is unconditional: every acquisition that actually hits the
+//! allocator — a cold miss on an empty or undersized free list — is
+//! counted via [`crate::metrics::record_alloc`], so the per-phase
+//! allocation counters ([`crate::AllocStats`]) are measured, not
+//! estimated. A warm repeat solve's remainder phase records zero
+//! (`results/BENCH_arena.json`, and the `profile_diff` suite asserts
+//! it).
 //!
 //! ## Aliasing and hygiene contract
 //!
@@ -71,42 +67,40 @@ impl Scratch {
 
     /// Acquires a buffer with `len == 0` and capacity ≥ `min_limbs`.
     ///
-    /// Reuses the most recently [`put`](Scratch::put) buffer when the
-    /// arena gate is on and one with enough capacity is available;
-    /// otherwise allocates fresh and records the allocation
-    /// ([`crate::metrics::record_alloc`]). The buffer's spare capacity
-    /// is dirty — see the module docs for the hygiene contract.
+    /// Reuses the most recently [`put`](Scratch::put) buffer when one
+    /// with enough capacity is available; otherwise allocates fresh and
+    /// records the allocation ([`crate::metrics::record_alloc`]). The
+    /// buffer's spare capacity is dirty — see the module docs for the
+    /// hygiene contract.
     pub fn take(&mut self, min_limbs: usize) -> Vec<Limb> {
         self.outstanding += 1;
-        if crate::session::arena_active() {
-            // LIFO scan from the top: the most recent buffers are the
-            // cache-hot ones, and sizes within one kernel repeat.
-            for i in (0..self.bufs.len()).rev() {
-                if self.bufs[i].capacity() >= min_limbs {
-                    let mut v = self.bufs.swap_remove(i);
-                    v.clear();
-                    return v;
-                }
-            }
-            // No fit: recycle the top buffer by growing it (one counted
-            // allocation, but the list stays bounded).
-            if let Some(mut v) = self.bufs.pop() {
+        // LIFO scan from the top: the most recent buffers are the
+        // cache-hot ones, and sizes within one kernel repeat.
+        for i in (0..self.bufs.len()).rev() {
+            if self.bufs[i].capacity() >= min_limbs {
+                let mut v = self.bufs.swap_remove(i);
                 v.clear();
-                v.reserve(min_limbs);
-                crate::metrics::record_alloc((min_limbs * std::mem::size_of::<Limb>()) as u64);
                 return v;
             }
         }
         crate::metrics::record_alloc((min_limbs * std::mem::size_of::<Limb>()) as u64);
-        Vec::with_capacity(min_limbs)
+        // No fit: recycle the top buffer by growing it (one counted
+        // allocation, but the list stays bounded).
+        match self.bufs.pop() {
+            Some(mut v) => {
+                v.clear();
+                v.reserve(min_limbs);
+                v
+            }
+            None => Vec::with_capacity(min_limbs),
+        }
     }
 
-    /// Returns a buffer to the free list (or drops it when the arena
-    /// gate is off, the list is full, or the buffer is outsized).
+    /// Returns a buffer to the free list (or drops it when the list is
+    /// full or the buffer is outsized).
     pub fn put(&mut self, mut v: Vec<Limb>) {
         self.outstanding = self.outstanding.saturating_sub(1);
-        if crate::session::arena_active()
-            && self.bufs.len() < MAX_RETAINED
+        if self.bufs.len() < MAX_RETAINED
             && v.capacity() <= MAX_RETAINED_LIMBS
             && v.capacity() > 0
         {
@@ -173,71 +167,45 @@ pub fn retained_on_thread() -> usize {
 mod tests {
     use super::*;
 
-    /// Runs `f` with the arena forced on or off via an installed
-    /// context — the innermost context wins over the process gate, so
-    /// parallel tests never race on the global.
-    fn with_arena<R>(on: bool, f: impl FnOnce() -> R) -> R {
-        crate::SolveCtx::new(crate::MulBackend::Schoolbook)
-            .with_arena(on)
-            .run(f)
+    #[test]
+    fn take_reuses_put_buffers() {
+        let mut s = Scratch::new();
+        let mut v = s.take(16);
+        v.extend_from_slice(&[1, 2, 3]);
+        let cap = v.capacity();
+        let ptr = v.as_ptr();
+        s.put(v);
+        assert_eq!(s.retained(), 1);
+        let v2 = s.take(8);
+        // Same buffer back: cleared, same storage.
+        assert_eq!(v2.len(), 0);
+        assert_eq!(v2.capacity(), cap);
+        assert_eq!(v2.as_ptr(), ptr);
+        assert_eq!(s.retained(), 0);
+        s.put(v2);
+        assert_eq!(s.outstanding(), 0);
     }
 
     #[test]
-    fn take_reuses_put_buffers_when_enabled() {
-        with_arena(true, || {
-            let mut s = Scratch::new();
-            let mut v = s.take(16);
-            v.extend_from_slice(&[1, 2, 3]);
-            let cap = v.capacity();
-            let ptr = v.as_ptr();
+    fn only_cold_misses_count() {
+        let mut s = Scratch::new();
+        let before = rr_obs::alloc::reading();
+        for _ in 0..10 {
+            let v = s.take(32);
             s.put(v);
-            assert_eq!(s.retained(), 1);
-            let v2 = s.take(8);
-            // Same buffer back: cleared, same storage.
-            assert_eq!(v2.len(), 0);
-            assert_eq!(v2.capacity(), cap);
-            assert_eq!(v2.as_ptr(), ptr);
-            assert_eq!(s.retained(), 0);
-            s.put(v2);
-            assert_eq!(s.outstanding(), 0);
-        });
-    }
-
-    #[test]
-    fn disabled_arena_always_allocates_and_counts() {
-        with_arena(false, || {
-            let mut s = Scratch::new();
-            let before = rr_obs::alloc::reading();
-            let v = s.take(4);
-            s.put(v);
-            let v = s.take(4);
-            s.put(v);
-            let d = rr_obs::alloc::reading() - before;
-            assert_eq!(d.allocs, 2, "every take counts with the gate off");
-            assert_eq!(s.retained(), 0, "nothing retained with the gate off");
-        });
-    }
-
-    #[test]
-    fn enabled_arena_counts_only_cold_misses() {
-        with_arena(true, || {
-            let mut s = Scratch::new();
-            let before = rr_obs::alloc::reading();
-            for _ in 0..10 {
-                let v = s.take(32);
-                s.put(v);
-            }
-            let d = rr_obs::alloc::reading() - before;
-            assert_eq!(d.allocs, 1, "one cold miss, nine reuses");
-        });
+        }
+        let d = rr_obs::alloc::reading() - before;
+        assert_eq!(d.allocs, 1, "one cold miss, nine reuses");
     }
 
     #[test]
     fn session_sink_sees_per_phase_allocs() {
-        let ctx = crate::SolveCtx::new(crate::MulBackend::Schoolbook).with_arena(false);
+        let ctx = crate::SolveCtx::new(crate::Profile::Paper);
         ctx.run(|| {
             crate::metrics::with_phase(crate::metrics::Phase::RemainderSeq, || {
                 let mut s = Scratch::new();
+                let v = s.take(8);
+                s.put(v);
                 let v = s.take(8);
                 s.put(v);
             });
@@ -253,28 +221,24 @@ mod tests {
 
     #[test]
     fn undersized_buffers_are_not_reused_as_is() {
-        with_arena(true, || {
-            let mut s = Scratch::new();
-            s.put(Vec::with_capacity(4));
-            s.put(Vec::with_capacity(100));
-            let v = s.take(50);
-            assert!(v.capacity() >= 50);
-            assert_eq!(s.retained(), 1, "the 4-limb buffer stays for later");
-        });
+        let mut s = Scratch::new();
+        s.put(Vec::with_capacity(4));
+        s.put(Vec::with_capacity(100));
+        let v = s.take(50);
+        assert!(v.capacity() >= 50);
+        assert_eq!(s.retained(), 1, "the 4-limb buffer stays for later");
     }
 
     #[test]
     fn retention_is_bounded() {
-        with_arena(true, || {
-            let mut s = Scratch::new();
-            for _ in 0..(MAX_RETAINED + 10) {
-                s.put(Vec::with_capacity(1));
-            }
-            assert_eq!(s.retained(), MAX_RETAINED);
-            s.put(Vec::with_capacity(MAX_RETAINED_LIMBS + 1));
-            assert_eq!(s.retained(), MAX_RETAINED, "outsized buffer dropped");
-            s.release();
-            assert_eq!(s.retained(), 0);
-        });
+        let mut s = Scratch::new();
+        for _ in 0..(MAX_RETAINED + 10) {
+            s.put(Vec::with_capacity(1));
+        }
+        assert_eq!(s.retained(), MAX_RETAINED);
+        s.put(Vec::with_capacity(MAX_RETAINED_LIMBS + 1));
+        assert_eq!(s.retained(), MAX_RETAINED, "outsized buffer dropped");
+        s.release();
+        assert_eq!(s.retained(), 0);
     }
 }

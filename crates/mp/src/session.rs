@@ -1,16 +1,16 @@
-//! Session contexts: per-solve backend selection and metrics ownership.
+//! Session contexts: per-solve kernel profile and metrics ownership.
 //!
 //! A [`SolveCtx`] bundles the two pieces of runtime context that used to
 //! be process-global mutable state:
 //!
-//! * the multiplication **backend** ([`crate::MulBackend`]) to dispatch
-//!   [`crate::Int`] kernels to, and
+//! * the kernel **profile** ([`crate::Profile`]) to dispatch
+//!   [`crate::Int`] and `Poly` kernels to, and
 //! * a private **metrics sink** ([`crate::metrics::MetricsSink`]) that
 //!   receives every arithmetic event performed under the context.
 //!
 //! A context is *installed* on a thread for a scope
 //! ([`SolveCtx::install`] / [`SolveCtx::run`]); while installed, all
-//! `Int` arithmetic on that thread dispatches to the context's backend
+//! `Int` arithmetic on that thread dispatches to the context's profile
 //! and records into the context's sink. Worker threads executing tasks
 //! on behalf of a solve install the solve's context around each task, so
 //! the context follows the *work*, not the thread — two solves can
@@ -19,9 +19,8 @@
 //!
 //! Installation is scoped and stack-shaped: contexts nest, the innermost
 //! wins, and the guard restores the previous state on drop (including
-//! unwind). A thread with no context installed falls back to the
-//! process-global compatibility layer: the [`crate::mul_backend`] atomic
-//! (seeded from `RR_MUL_BACKEND`) and the default metrics sink read by
+//! unwind). A thread with no context installed dispatches as
+//! [`Profile::Paper`] and records into the default metrics sink read by
 //! [`crate::metrics::snapshot`].
 //!
 //! The recording path stays contention-free: the first install of a
@@ -31,38 +30,33 @@
 //! identical in shape to the pre-session path.
 //!
 //! ```
-//! use rr_mp::{metrics::Phase, Int, MulBackend, SolveCtx};
+//! use rr_mp::{metrics::Phase, Int, Profile, SolveCtx};
 //!
-//! let fast = SolveCtx::new(MulBackend::Fast);
-//! let school = SolveCtx::new(MulBackend::Schoolbook);
+//! let fast = SolveCtx::new(Profile::Fast);
+//! let paper = SolveCtx::new(Profile::Paper);
 //! let product = fast.run(|| Int::from(3u64) * Int::from(5u64));
-//! school.run(|| {
+//! paper.run(|| {
 //!     let _ = Int::from(7u64) * Int::from(9u64);
 //! });
 //! assert_eq!(product, Int::from(15u64));
 //! // Each context saw exactly its own event.
 //! assert_eq!(fast.snapshot().total().mul_count, 1);
-//! assert_eq!(school.snapshot().total().mul_count, 1);
+//! assert_eq!(paper.snapshot().total().mul_count, 1);
 //! ```
 
-use crate::backend::{DivBackend, MulBackend, ParMulMode, PolyMulBackend};
 use crate::metrics::{CostSnapshot, MetricsSink, ThreadCounters};
+use crate::Profile;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::{Arc, Weak};
 
-/// Per-solve context: a multiplication backend plus a private metrics
-/// sink, and optionally an `rr-obs` span recorder for traced solves and
-/// a cancel token for supervised solves. Cheap to clone (all clones
-/// share the sink); `Send + Sync`, so a solve can hand clones to its
-/// worker tasks.
+/// Per-solve context: a kernel profile plus a private metrics sink, and
+/// optionally an `rr-obs` span recorder for traced solves and a cancel
+/// token for supervised solves. Cheap to clone (all clones share the
+/// sink); `Send + Sync`, so a solve can hand clones to its worker tasks.
 #[derive(Clone, Debug)]
 pub struct SolveCtx {
-    backend: MulBackend,
-    poly_backend: PolyMulBackend,
-    div_backend: DivBackend,
-    arena: bool,
-    par_mul: ParMulMode,
+    profile: Profile,
     sink: MetricsSink,
     recorder: Option<rr_obs::Recorder>,
     cancel: Option<rr_sched::CancelToken>,
@@ -71,11 +65,7 @@ pub struct SolveCtx {
 /// One installed context on a thread's ambient stack, with the
 /// per-(sink, thread) counter block resolved once at install time.
 struct ActiveCtx {
-    backend: MulBackend,
-    poly_backend: PolyMulBackend,
-    div_backend: DivBackend,
-    arena: bool,
-    par_mul: ParMulMode,
+    profile: Profile,
     counters: Arc<ThreadCounters>,
 }
 
@@ -89,82 +79,15 @@ thread_local! {
 }
 
 impl SolveCtx {
-    /// A fresh context with the given backend and an empty private sink.
-    pub fn new(backend: MulBackend) -> SolveCtx {
+    /// A fresh context on the given kernel profile with an empty private
+    /// sink.
+    pub fn new(profile: Profile) -> SolveCtx {
         SolveCtx {
-            backend,
-            poly_backend: PolyMulBackend::Schoolbook,
-            div_backend: DivBackend::Schoolbook,
-            arena: crate::backend::arena_enabled(),
-            par_mul: crate::backend::par_mul_mode(),
+            profile,
             sink: MetricsSink::new(),
             recorder: None,
             cancel: None,
         }
-    }
-
-    /// A fresh context on the process-default backends
-    /// ([`crate::mul_backend`] / [`crate::poly_mul_backend`] /
-    /// [`crate::div_backend`], i.e. `RR_MUL_BACKEND` + `RR_POLY_MUL` +
-    /// `RR_DIV` or schoolbook).
-    pub fn with_default_backend() -> SolveCtx {
-        SolveCtx::new(crate::backend::mul_backend())
-            .with_poly_backend(crate::backend::poly_mul_backend())
-            .with_div_backend(crate::backend::div_backend())
-    }
-
-    /// Selects the polynomial multiplication backend this context
-    /// dispatches `Poly × Poly` to (default: schoolbook).
-    pub fn with_poly_backend(mut self, poly_backend: PolyMulBackend) -> SolveCtx {
-        self.poly_backend = poly_backend;
-        self
-    }
-
-    /// The polynomial multiplication backend carried by this context.
-    pub fn poly_backend(&self) -> PolyMulBackend {
-        self.poly_backend
-    }
-
-    /// Selects the division backend this context dispatches `Int`
-    /// divisions to (default: schoolbook).
-    pub fn with_div_backend(mut self, div_backend: DivBackend) -> SolveCtx {
-        self.div_backend = div_backend;
-        self
-    }
-
-    /// The division backend carried by this context.
-    pub fn div_backend(&self) -> DivBackend {
-        self.div_backend
-    }
-
-    /// Selects whether the scratch arena ([`crate::scratch`]) reuses
-    /// limb buffers while this context is installed (default: the
-    /// process gate [`crate::arena_enabled`], seeded from `RR_ARENA`).
-    /// Like the backends, the innermost installed context wins, so two
-    /// concurrent solves can run with different arena settings.
-    pub fn with_arena(mut self, arena: bool) -> SolveCtx {
-        self.arena = arena;
-        self
-    }
-
-    /// Whether this context runs with the scratch arena enabled.
-    pub fn arena(&self) -> bool {
-        self.arena
-    }
-
-    /// Selects whether large magnitude products fork-join onto the
-    /// solve's pool scope while this context is installed (default: the
-    /// process mode [`crate::par_mul_mode`], seeded from `RR_PAR_MUL`).
-    /// Like the backends, the innermost installed context wins, so
-    /// concurrent solves can run with different split policies.
-    pub fn with_par_mul(mut self, par_mul: ParMulMode) -> SolveCtx {
-        self.par_mul = par_mul;
-        self
-    }
-
-    /// The parallel-multiplication mode carried by this context.
-    pub fn par_mul(&self) -> ParMulMode {
-        self.par_mul
     }
 
     /// Attaches a span recorder: while this context is installed, the
@@ -196,11 +119,6 @@ impl SolveCtx {
         self.cancel.as_ref()
     }
 
-    /// The backend this context dispatches `Int` kernels to.
-    pub fn backend(&self) -> MulBackend {
-        self.backend
-    }
-
     /// Aggregates every event recorded under this context, on any
     /// thread, since its creation. The sink starts empty, so no
     /// before/after subtraction is needed: this *is* the context's cost.
@@ -217,7 +135,7 @@ impl SolveCtx {
 
     /// Newton-division execution counters recorded under this context —
     /// what the Newton division path actually ran, which the
-    /// backend-invariant cost model in [`SolveCtx::snapshot`]
+    /// profile-invariant cost model in [`SolveCtx::snapshot`]
     /// deliberately does not reflect.
     pub fn newton_div_stats(&self) -> crate::metrics::NewtonDivStats {
         self.sink.newton_div_snapshot()
@@ -225,7 +143,7 @@ impl SolveCtx {
 
     /// Parallel-multiplication execution counters recorded under this
     /// context — what the fork-join splitter actually ran, which the
-    /// `RR_PAR_MUL`-invariant cost model in [`SolveCtx::snapshot`]
+    /// profile-invariant cost model in [`SolveCtx::snapshot`]
     /// deliberately does not reflect.
     pub fn parmul_stats(&self) -> crate::metrics::ParMulStats {
         self.sink.parmul_snapshot()
@@ -233,8 +151,8 @@ impl SolveCtx {
 
     /// Physical allocation counters recorded under this context — how
     /// many limb-buffer acquisitions reached the system allocator, per
-    /// phase. Varies with the arena setting by design, which is exactly
-    /// why it lives outside the backend-invariant cost model of
+    /// phase. Varies with how warm each thread's arena is, which is
+    /// exactly why it lives outside the profile-invariant cost model of
     /// [`SolveCtx::snapshot`].
     pub fn alloc_stats(&self) -> crate::metrics::AllocStats {
         self.sink.alloc_snapshot()
@@ -270,11 +188,7 @@ impl SolveCtx {
     pub fn install(&self) -> CtxGuard {
         let obs = self.recorder.as_ref().map(rr_obs::Recorder::install);
         let active = ActiveCtx {
-            backend: self.backend,
-            poly_backend: self.poly_backend,
-            div_backend: self.div_backend,
-            arena: self.arena,
-            par_mul: self.par_mul,
+            profile: self.profile,
             counters: self.thread_counters(),
         };
         AMBIENT.with(|stack| stack.borrow_mut().push(active));
@@ -312,56 +226,19 @@ impl Drop for CtxGuard {
     }
 }
 
-/// The backend of the innermost installed context, if any. Kernel
-/// dispatch (`nat::mul_auto`) consults this before the process-global
-/// atomic.
+/// The kernel profile the calling thread dispatches to: the innermost
+/// installed context's, else [`Profile::Paper`]. This is the single
+/// dispatch point every kernel family consults — the magnitude kernels
+/// in [`crate::nat`], [`crate::ExactDivisor`], and `rr-poly`'s
+/// `Poly × Poly`.
 #[inline]
-pub(crate) fn current_backend() -> Option<MulBackend> {
-    AMBIENT.with(|stack| stack.borrow().last().map(|a| a.backend))
-}
-
-/// The division backend of the innermost installed context, if any.
-/// Kernel dispatch (`nat::div_rem_auto`) consults this before the
-/// process-global atomic.
-#[inline]
-pub(crate) fn current_div_backend() -> Option<DivBackend> {
-    AMBIENT.with(|stack| stack.borrow().last().map(|a| a.div_backend))
+pub fn active_profile() -> Profile {
+    AMBIENT.with(|stack| stack.borrow().last().map_or(Profile::Paper, |a| a.profile))
 }
 
 /// True if the calling thread currently has a context installed.
 pub fn has_current() -> bool {
     AMBIENT.with(|stack| !stack.borrow().is_empty())
-}
-
-/// Whether the scratch arena should reuse buffers on the calling thread:
-/// the innermost installed context's choice, else the process gate
-/// [`crate::backend::arena_enabled`] (seeded from `RR_ARENA`). This is
-/// the single point [`crate::scratch`] consults.
-#[inline]
-pub(crate) fn arena_active() -> bool {
-    AMBIENT.with(|stack| stack.borrow().last().map(|a| a.arena))
-        .unwrap_or_else(crate::backend::arena_enabled)
-}
-
-/// The parallel-multiplication mode active on the calling thread: the
-/// innermost installed context's choice, else the process-global
-/// [`crate::par_mul_mode`] (seeded from `RR_PAR_MUL`). This is the
-/// single point the magnitude dispatch ([`crate::nat::parmul`])
-/// consults.
-#[inline]
-pub(crate) fn par_mul_active() -> ParMulMode {
-    AMBIENT.with(|stack| stack.borrow().last().map(|a| a.par_mul))
-        .unwrap_or_else(crate::backend::par_mul_mode)
-}
-
-/// The polynomial multiplication backend the calling thread should
-/// dispatch `Poly × Poly` to: the innermost installed context's choice,
-/// else the process-global [`crate::poly_mul_backend`] (seeded from
-/// `RR_POLY_MUL`). This is the single dispatch point `rr-poly` consults.
-#[inline]
-pub fn active_poly_mul_backend() -> PolyMulBackend {
-    AMBIENT.with(|stack| stack.borrow().last().map(|a| a.poly_backend))
-        .unwrap_or_else(crate::backend::poly_mul_backend)
 }
 
 /// Records a multiplication into the innermost installed context's sink.
@@ -484,8 +361,8 @@ pub(crate) fn record_session_parmul(
 ///
 /// Like the Kronecker and Newton counters, these live *outside* the
 /// paper cost model: they describe what actually ran, not what the
-/// model charges — and unlike those, they intentionally vary with the
-/// arena gate.
+/// model charges — and unlike those, they vary with how warm the
+/// thread's scratch arena is.
 #[inline]
 pub(crate) fn record_session_alloc(phase: usize, bytes: u64) -> bool {
     AMBIENT.with(|stack| match stack.borrow().last() {
@@ -506,7 +383,7 @@ mod tests {
     #[test]
     fn session_events_do_not_reach_global_sink() {
         let before = metrics::snapshot();
-        let ctx = SolveCtx::new(MulBackend::Schoolbook);
+        let ctx = SolveCtx::new(Profile::Paper);
         ctx.run(|| {
             metrics::with_phase(Phase::TreePoly, || {
                 let _ = Int::from(12345u64) * Int::from(99999u64);
@@ -520,8 +397,8 @@ mod tests {
 
     #[test]
     fn nested_contexts_innermost_wins_and_restores() {
-        let outer = SolveCtx::new(MulBackend::Schoolbook);
-        let inner = SolveCtx::new(MulBackend::Fast);
+        let outer = SolveCtx::new(Profile::Paper);
+        let inner = SolveCtx::new(Profile::Fast);
         outer.run(|| {
             let _ = Int::from(3u64) * Int::from(5u64);
             inner.run(|| {
@@ -537,7 +414,7 @@ mod tests {
 
     #[test]
     fn guard_restores_on_unwind() {
-        let ctx = SolveCtx::new(MulBackend::Schoolbook);
+        let ctx = SolveCtx::new(Profile::Paper);
         let r = std::panic::catch_unwind(|| {
             ctx.run(|| panic!("boom"));
         });
@@ -547,7 +424,7 @@ mod tests {
 
     #[test]
     fn context_aggregates_across_threads() {
-        let ctx = SolveCtx::new(MulBackend::Fast);
+        let ctx = SolveCtx::new(Profile::Fast);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let ctx = ctx.clone();
@@ -571,7 +448,7 @@ mod tests {
         // Repeated install/uninstall must not grow the sink registry per
         // install: the per-thread block is cached. (Observable effect:
         // totals still exact; this exercises the cache path.)
-        let ctx = SolveCtx::new(MulBackend::Schoolbook);
+        let ctx = SolveCtx::new(Profile::Paper);
         for _ in 0..100 {
             ctx.run(|| {
                 let _ = Int::from(3u64) * Int::from(5u64);
@@ -583,8 +460,8 @@ mod tests {
     #[test]
     fn attached_recorder_is_installed_with_the_context() {
         let rec = rr_obs::Recorder::new();
-        let traced = SolveCtx::new(MulBackend::Schoolbook).with_recorder(rec.clone());
-        let plain = SolveCtx::new(MulBackend::Schoolbook);
+        let traced = SolveCtx::new(Profile::Paper).with_recorder(rec.clone());
+        let plain = SolveCtx::new(Profile::Paper);
         traced.run(|| {
             assert!(rr_obs::active());
             metrics::with_phase(Phase::Newton, || {
@@ -611,7 +488,7 @@ mod tests {
     #[test]
     fn recorder_follows_context_across_threads() {
         let rec = rr_obs::Recorder::new();
-        let ctx = SolveCtx::new(MulBackend::Fast).with_recorder(rec.clone());
+        let ctx = SolveCtx::new(Profile::Fast).with_recorder(rec.clone());
         let handles: Vec<_> = (0..3)
             .map(|_| {
                 let ctx = ctx.clone();
@@ -637,13 +514,14 @@ mod tests {
     }
 
     #[test]
-    fn ambient_backend_overrides_global() {
-        let prev = crate::backend::set_mul_backend(MulBackend::Schoolbook);
-        let ctx = SolveCtx::new(MulBackend::Fast);
+    fn ambient_profile_defaults_to_paper() {
+        assert_eq!(active_profile(), Profile::Paper);
+        let ctx = SolveCtx::new(Profile::Fast);
         ctx.run(|| {
-            assert_eq!(current_backend(), Some(MulBackend::Fast));
+            assert_eq!(active_profile(), Profile::Fast);
+            SolveCtx::new(Profile::Paper).run(|| assert_eq!(active_profile(), Profile::Paper));
+            assert_eq!(active_profile(), Profile::Fast);
         });
-        assert_eq!(current_backend(), None);
-        crate::backend::set_mul_backend(prev);
+        assert_eq!(active_profile(), Profile::Paper);
     }
 }

@@ -1,4 +1,4 @@
-//! Differential tests of the two division backends.
+//! Differential tests of the two division kernels.
 //!
 //! The Newton-reciprocal kernel must agree **bit-for-bit** with the
 //! paper-faithful Algorithm D kernel on every input. The properties here
@@ -234,7 +234,7 @@ proptest! {
         // equal the plainly computed quotient for any signed operands
         // and any even/odd divisor; t is constructed so the combination
         // is exactly q·d.
-        use rr_mp::{DivBackend, ExactDivisor, Int, MulBackend, Sign, SolveCtx};
+        use rr_mp::{ExactDivisor, Int, Profile, Sign, SolveCtx};
         let signed = |m: &[u64], bit: u8| {
             let sign = if nat::is_zero(m) {
                 Sign::Zero
@@ -251,7 +251,7 @@ proptest! {
         let q = signed(&qm, 0);
         let t = (&x0 * &y0) + (&x1 * &y1) - (&q * &d);
         let one = Int::one();
-        let ctx = SolveCtx::new(MulBackend::Fast).with_div_backend(DivBackend::Newton);
+        let ctx = SolveCtx::new(Profile::Fast);
         let got = ctx.run(|| {
             ExactDivisor::new(d.clone())
                 .div_exact_dot(&[(&x0, &y0), (&x1, &y1)], &[(&t, &one)])
@@ -268,10 +268,10 @@ proptest! {
         // A shared ExactDivisor must give the same quotients as
         // independent Int::div_exact calls, whatever mix of quotient
         // sizes extends its cached inverse.
-        use rr_mp::{DivBackend, ExactDivisor, Int, MulBackend, Sign, SolveCtx};
+        use rr_mp::{ExactDivisor, Int, Profile, Sign, SolveCtx};
         let d = Int::from_sign_mag(Sign::Positive, nat::shl(&v, z));
         let prepared = ExactDivisor::new(d.clone());
-        let ctx = SolveCtx::new(MulBackend::Fast).with_div_backend(DivBackend::Newton);
+        let ctx = SolveCtx::new(Profile::Fast);
         ctx.run(|| {
             for qm in &qs {
                 let q = Int::from_sign_mag(Sign::Positive, qm.clone());

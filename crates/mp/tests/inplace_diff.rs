@@ -13,39 +13,36 @@
 //! * **aliased operands** — `f(a, a)` shapes, which the in-place
 //!   rewrites make much easier to produce than the allocating API did.
 //!
-//! Each property runs its kernel with the arena both **on** and **off**
-//! (via a private `SolveCtx`, so concurrently running tests with
-//! different settings never interfere) and compares both against the
-//! allocating twin computed outside any context.
+//! Each property runs its kernel against both a **poisoned** and a
+//! **cold** (just released, so every take allocates fresh) thread arena
+//! and compares both against the allocating twin. Arenas are
+//! thread-local, so concurrently running tests never interfere.
 
 use proptest::prelude::*;
 use rr_mp::nat::{self, div, kmul, mul, newton_div};
-use rr_mp::{scratch, Int, MulBackend, SolveCtx};
+use rr_mp::{scratch, Int, Profile, SolveCtx};
 
 type Mag = Vec<u64>;
 
 /// Sentinel limb pattern that makes "read before write" failures loud.
 const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 
-/// Seeds the calling thread's arena with dirty buffers, then runs `f`
-/// with the arena enabled. The buffers' spare capacity holds `POISON`,
-/// so a kernel that trusts scratch contents produces garbage.
+/// Seeds the calling thread's arena with dirty buffers, then runs `f`.
+/// The buffers' spare capacity holds `POISON`, so a kernel that trusts
+/// scratch contents produces garbage.
 fn with_poisoned_arena<T>(f: impl FnOnce() -> T) -> T {
-    let ctx = SolveCtx::new(MulBackend::Schoolbook).with_arena(true);
-    ctx.run(|| {
-        for limbs in [16usize, 64, 256] {
-            let mut b = scratch::take(limbs);
-            b.resize(limbs, POISON);
-            scratch::put(b);
-        }
-        f()
-    })
+    for limbs in [16usize, 64, 256] {
+        let mut b = scratch::take(limbs);
+        b.resize(limbs, POISON);
+        scratch::put(b);
+    }
+    f()
 }
 
-/// Runs `f` with the arena explicitly off (every take allocates fresh).
-fn with_arena_off<T>(f: impl FnOnce() -> T) -> T {
-    let ctx = SolveCtx::new(MulBackend::Schoolbook).with_arena(false);
-    ctx.run(f)
+/// Runs `f` on an emptied thread arena (every take is a cold miss).
+fn with_cold_arena<T>(f: impl FnOnce() -> T) -> T {
+    scratch::release_thread();
+    f()
 }
 
 /// A dirty output buffer: nonzero length, poisoned contents.
@@ -65,14 +62,14 @@ fn arb_mag(max_limbs: usize) -> impl Strategy<Value = Mag> {
 }
 
 /// Checks one `_into` kernel against its allocating twin under dirty
-/// outputs, a poisoned arena, and a disabled arena.
+/// outputs, a poisoned arena, and a cold arena.
 fn check_into(expect: &[u64], run: impl Fn(&mut Mag)) {
     let mut out = dirty_out();
     with_poisoned_arena(|| run(&mut out));
     assert_eq!(out, expect, "poisoned arena");
     let mut out = dirty_out();
-    with_arena_off(|| run(&mut out));
-    assert_eq!(out, expect, "arena off");
+    with_cold_arena(|| run(&mut out));
+    assert_eq!(out, expect, "cold arena");
 }
 
 proptest! {
@@ -173,8 +170,8 @@ proptest! {
         let expect = div::div_rem(&u, &v);
         let got_poisoned = with_poisoned_arena(|| newton_div::div_rem_with_threshold(&u, &v, 1));
         prop_assert_eq!(&got_poisoned, &expect);
-        let got_off = with_arena_off(|| newton_div::div_rem_with_threshold(&u, &v, 1));
-        prop_assert_eq!(&got_off, &expect);
+        let got_cold = with_cold_arena(|| newton_div::div_rem_with_threshold(&u, &v, 1));
+        prop_assert_eq!(&got_cold, &expect);
     }
 
     #[test]
@@ -190,8 +187,8 @@ proptest! {
         let got_poisoned =
             with_poisoned_arena(|| newton_div::div_exact_with_threshold(&u, &v, 1));
         prop_assert_eq!(&got_poisoned, &expect);
-        let got_off = with_arena_off(|| newton_div::div_exact_with_threshold(&u, &v, 1));
-        prop_assert_eq!(&got_off, &expect);
+        let got_cold = with_cold_arena(|| newton_div::div_exact_with_threshold(&u, &v, 1));
+        prop_assert_eq!(&got_cold, &expect);
     }
 
     #[test]
@@ -204,7 +201,7 @@ proptest! {
         with_poisoned_arena(|| x.mul_into(&y, &mut out));
         prop_assert_eq!(&out, &expect);
         let mut out = Int::from(-3);
-        with_arena_off(|| x.mul_into(&y, &mut out));
+        with_cold_arena(|| x.mul_into(&y, &mut out));
         prop_assert_eq!(&out, &expect);
     }
 
@@ -224,7 +221,7 @@ proptest! {
         with_poisoned_arena(|| got.sub_mul_assign(&x, &y));
         prop_assert_eq!(&got, &expect_sub);
         let mut got = acc.clone();
-        with_arena_off(|| got.sub_mul_assign(&x, &y));
+        with_cold_arena(|| got.sub_mul_assign(&x, &y));
         prop_assert_eq!(&got, &expect_sub);
         let mut got = acc.clone();
         with_poisoned_arena(|| got.add_mul_assign(&x, &y));
@@ -255,7 +252,7 @@ proptest! {
 /// kernel (cross-kernel dirty reuse).
 #[test]
 fn cross_kernel_buffer_reuse_is_clean() {
-    let ctx = SolveCtx::new(MulBackend::Fast).with_arena(true);
+    let ctx = SolveCtx::new(Profile::Fast);
     ctx.run(|| {
         let a: Mag = (1..=32u64).map(|i| i.wrapping_mul(POISON)).collect();
         let b: Mag = (1..=24u64).map(|i| i.wrapping_mul(0x1234_5678_9ABC_DEF1)).collect();
@@ -281,7 +278,7 @@ fn cross_kernel_buffer_reuse_is_clean() {
 /// buffer they take, so the arena's outstanding count returns to zero.
 #[test]
 fn kernels_return_all_scratch_buffers() {
-    let ctx = SolveCtx::new(MulBackend::Fast).with_arena(true);
+    let ctx = SolveCtx::new(Profile::Fast);
     ctx.run(|| {
         let a: Mag = vec![u64::MAX; 40];
         let b: Mag = vec![0x0123_4567_89AB_CDEF; 33];

@@ -1,4 +1,4 @@
-//! Differential tests of the two multiplication backends.
+//! Differential tests of the two multiplication kernels.
 //!
 //! The `Fast` (Karatsuba) kernel must agree **bit-for-bit** with the
 //! paper-faithful schoolbook kernel on every input. The properties here
@@ -189,21 +189,18 @@ proptest! {
     }
 }
 
-/// `mul_normalizing` dispatches through the process-wide backend; under
+/// `mul_normalizing` dispatches through the active profile; under
 /// `Fast` it must still produce schoolbook-identical (normalized) limbs.
-/// Kept as one plain test so the global backend flip is scoped and
-/// restored deterministically.
 #[test]
-fn mul_normalizing_dispatches_to_fast_backend() {
+fn mul_normalizing_dispatches_to_fast_profile() {
     let a: Mag = (0..33u64).map(|i| u64::MAX - i * i).chain([0, 0]).collect();
     let b: Mag = (0..29u64).map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i | 1)).collect();
     let expect = mul::mul(&nat::normalized(a.clone()), &nat::normalized(b.clone()));
 
-    let prev = rr_mp::set_mul_backend(rr_mp::MulBackend::Fast);
-    let fast = mul::mul_normalizing(a.clone(), b.clone());
-    rr_mp::set_mul_backend(prev);
+    let fast = rr_mp::SolveCtx::new(rr_mp::Profile::Fast)
+        .run(|| mul::mul_normalizing(a.clone(), b.clone()));
     assert_eq!(fast, expect);
 
-    let school = mul::mul_normalizing(a, b);
-    assert_eq!(school, expect);
+    let paper = mul::mul_normalizing(a, b);
+    assert_eq!(paper, expect);
 }

@@ -7,9 +7,9 @@
 //! metrics cost model — for two reasons:
 //!
 //! * it is **physical**, not modeled: the paper cost snapshot must stay
-//!   bit-identical with arenas on and off (that equality is asserted by
-//!   `tests/arena_diff.rs`), so anything that varies with `RR_ARENA`
-//!   cannot live in `CostSnapshot`; and
+//!   bit-identical whatever the arenas held when the solve started, so
+//!   anything that varies with how warm an arena is cannot live in
+//!   `CostSnapshot`; and
 //! * the **scheduler** wants per-task deltas: `rr-sched` (which cannot
 //!   depend on `rr-mp`) reads this counter around every pool task to
 //!   attribute allocation churn to scopes, surfacing the totals in

@@ -4,7 +4,7 @@
 //! The per-solve [`Recorder`](crate::Recorder) answers "what happened
 //! inside *one* solve"; this registry answers the complementary fleet
 //! question — "what are *all* solves doing over time" — without any
-//! recorder installed: per-phase latency percentiles, backend-tagged
+//! recorder installed: per-phase latency percentiles, profile-tagged
 //! throughput, allocation and cancellation rates.
 //!
 //! ## Design
@@ -145,7 +145,7 @@ impl Retired {
 
 /// A registered metric: descriptor plus its live shards and retired
 /// totals. Label keys and values are `'static` by construction — label
-/// sets are typed enumerations (phase, backend, outcome), not free-form
+/// sets are typed enumerations (phase, profile, outcome), not free-form
 /// strings, so registration cannot explode cardinality at runtime.
 struct Metric {
     name: &'static str,

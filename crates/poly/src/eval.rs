@@ -52,9 +52,9 @@ impl ScaledPoly {
     ///
     /// Construction is pure limb shifts (`c_j · 2^(d−j)µ`), so it costs
     /// nothing in the multiplication model and is unaffected by the
-    /// active [`rr_mp::PolyMulBackend`]; only the polynomial *products*
-    /// that build the inputs handed to `ScaledPoly` (remainder sequence,
-    /// tree stage) dispatch on that backend.
+    /// active [`rr_mp::Profile`]; only the polynomial *products* that
+    /// build the inputs handed to `ScaledPoly` (remainder sequence, tree
+    /// stage) dispatch on it.
     ///
     /// # Panics
     /// Panics on the zero polynomial.

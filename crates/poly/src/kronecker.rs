@@ -6,12 +6,11 @@
 //! big-integer multiplication followed by unpacking recovers the exact
 //! polynomial product. This collapses the `(d_a+1)(d_b+1)` coefficient
 //! loop onto the single integer kernel `rr_mp` has already made fast
-//! (`MulBackend::Fast`, Karatsuba), making dense polynomial
+//! (Karatsuba under `Profile::Fast`), making dense polynomial
 //! multiplication subquadratic end-to-end. The packed product only does
 //! *less* limb work than the coefficient loop when the integer kernel is
-//! subquadratic — pairing `Kronecker` with the schoolbook limb kernel
-//! performs the same quadratic work plus packing overhead (the
-//! `polymul_ablation --sweep` tables show both pairings).
+//! subquadratic, which is why `Fast` dispatches `Poly × Poly` here (above
+//! the size crossover) and `Paper` never does.
 //!
 //! ## Slot width
 //!
@@ -59,7 +58,7 @@
 //! bulk update ([`rr_mp::metrics::record_mul_bulk`]). The big packed
 //! multiplication then goes through `rr_mp::nat` on raw magnitudes,
 //! which records nothing. Predicted-vs-observed figures are therefore
-//! bit-identical across polynomial backends; what actually ran is
+//! bit-identical across profiles; what actually ran is
 //! visible in [`rr_mp::KroneckerStats`] and in the `"polymul"` span an
 //! installed `rr-obs` recorder captures.
 
@@ -80,7 +79,7 @@ pub const KRONECKER_MIN_LEN: usize = 8;
 
 /// Calibrated dispatch gate: is the Kronecker path expected to beat the
 /// schoolbook loop for these operands? One allocation-free scan of the
-/// coefficients. Exposed so callers forcing a backend for differential
+/// coefficients. Exposed so callers forcing a kernel for differential
 /// testing can also test the gate itself.
 ///
 /// The crossover depends on **both** dimensions. Replacing `d²`

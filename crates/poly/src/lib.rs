@@ -5,7 +5,7 @@
 //! * [`Poly`] — dense polynomials with [`rr_mp::Int`] coefficients. The
 //!   *recorded* multiplication model is always the classical schoolbook
 //!   count, matching the paper; the executed kernel is selected per
-//!   session ([`rr_mp::PolyMulBackend`]): the schoolbook loop, or
+//!   session ([`rr_mp::Profile`]): the schoolbook loop, or
 //!   [`kronecker`] substitution onto one big-integer product;
 //! * [`eval`] — Horner evaluation at integers and, via [`eval::ScaledPoly`],
 //!   the scaled-integer evaluation of Section 4.3 (rational points `Y/2^µ`

@@ -209,7 +209,7 @@ impl Poly {
     /// Divides every coefficient by `s` exactly (debug-asserted).
     ///
     /// A one-shot convenience over [`Poly::div_scalar_exact_prepared`]:
-    /// the divisor is prepared once here, so under `RR_DIV=newton` the
+    /// the divisor is prepared once here, so under `Profile::Fast` the
     /// coefficients already share one cached 2-adic inverse of `s`.
     pub fn div_scalar_exact(&self, s: &Int) -> Poly {
         self.div_scalar_exact_prepared(&rr_mp::ExactDivisor::new(s.clone()))
@@ -275,7 +275,7 @@ impl Poly {
         self.div_scalar_exact(&c)
     }
 
-    /// `self²`, through the active polynomial backend's squaring path:
+    /// `self²`, through the active profile's squaring path:
     /// the limb squaring kernel on the diagonal (schoolbook) or three
     /// packed products instead of four (Kronecker). Records the same
     /// model counts as `self * self`.
@@ -287,7 +287,7 @@ impl Poly {
     }
 
     /// `self × rhs` forced through the schoolbook double loop,
-    /// regardless of the active [`rr_mp::PolyMulBackend`]. The
+    /// regardless of the active [`rr_mp::Profile`]. The
     /// differential suites and the ablation bench pin each path with
     /// this and [`Poly::mul_kronecker`]; ordinary code multiplies with
     /// `*` and lets the session dispatch.
@@ -299,7 +299,7 @@ impl Poly {
     }
 
     /// `self × rhs` forced through Kronecker substitution, regardless of
-    /// the active backend or the size crossover. Exact for any operands;
+    /// the active profile or the size crossover. Exact for any operands;
     /// see [`crate::kronecker`].
     pub fn mul_kronecker(&self, rhs: &Poly) -> Poly {
         crate::kronecker::mul(self, rhs)
@@ -347,9 +347,10 @@ fn sub_impl(a: &Poly, b: &Poly) -> Poly {
 /// Product dispatch. The *recorded model* is always the schoolbook
 /// count — `(d_a+1)(d_b+1)` coefficient multiplications over nonzero
 /// pairs, the count the paper's Section 4.2 analysis assumes — so
-/// predicted-vs-observed figures are invariant under both the limb
-/// backend (`rr_mp::MulBackend`) and the polynomial backend
-/// (`rr_mp::PolyMulBackend`) carried by the active `SolveCtx`. Aliased
+/// predicted-vs-observed figures are invariant under the kernel profile
+/// (`rr_mp::Profile`) carried by the active `SolveCtx`: `Paper` runs the
+/// schoolbook loop, `Fast` Kronecker substitution above its size
+/// crossover. Aliased
 /// operands (`&p * &p`) take the squaring path, which halves the
 /// computed coefficient products while recording the full aliased
 /// double-loop model.
@@ -360,10 +361,8 @@ fn mul_impl(a: &Poly, b: &Poly) -> Poly {
     if std::ptr::eq(a, b) {
         return square_impl(a);
     }
-    match rr_mp::active_poly_mul_backend() {
-        rr_mp::PolyMulBackend::Kronecker if crate::kronecker::profitable(a, b) => {
-            crate::kronecker::mul(a, b)
-        }
+    match rr_mp::active_profile() {
+        rr_mp::Profile::Fast if crate::kronecker::profitable(a, b) => crate::kronecker::mul(a, b),
         _ => mul_schoolbook_impl(a, b),
     }
 }
@@ -388,13 +387,11 @@ fn mul_schoolbook_impl(a: &Poly, b: &Poly) -> Poly {
     Poly::from_coeffs(out)
 }
 
-/// Square dispatch: same backend policy as [`mul_impl`], for a nonzero
+/// Square dispatch: same profile policy as [`mul_impl`], for a nonzero
 /// operand.
 fn square_impl(a: &Poly) -> Poly {
-    match rr_mp::active_poly_mul_backend() {
-        rr_mp::PolyMulBackend::Kronecker if crate::kronecker::profitable(a, a) => {
-            crate::kronecker::square(a)
-        }
+    match rr_mp::active_profile() {
+        rr_mp::Profile::Fast if crate::kronecker::profitable(a, a) => crate::kronecker::square(a),
         _ => square_schoolbook_impl(a),
     }
 }

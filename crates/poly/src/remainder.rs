@@ -156,7 +156,7 @@ pub fn quotient_coeffs(f_prev: &Poly, f_cur: &Poly) -> (Int, Int) {
 /// The denominator is shared by every coefficient of the iteration, so it
 /// arrives *prepared* ([`ExactDivisor`]), and the whole combination goes
 /// through its fused kernel [`ExactDivisor::div_exact_dot`]: under
-/// `RR_DIV=newton` all the coefficient tasks of an iteration — however
+/// `Profile::Fast` all the coefficient tasks of an iteration — however
 /// they are scheduled — reuse one cached 2-adic inverse of `c_{i−1}²`,
 /// and every product (not just the division) shrinks to a
 /// quotient-sized truncated product in the 2-adic domain.

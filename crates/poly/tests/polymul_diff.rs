@@ -1,4 +1,4 @@
-//! Differential suite for the polynomial multiplication backends.
+//! Differential suite for the polynomial multiplication kernels.
 //!
 //! The Kronecker path must be *invisible* except in wall-clock time:
 //! bit-identical products, and bit-identical recorded model counts (the
@@ -9,7 +9,7 @@
 //! both paths and compared exactly.
 
 use proptest::prelude::*;
-use rr_mp::{metrics::Phase, Int, MulBackend, PolyMulBackend, Sign, SolveCtx};
+use rr_mp::{metrics::Phase, Int, Profile, Sign, SolveCtx};
 use rr_poly::{kronecker, Poly};
 
 /// A signed integer of up to `max_limbs` 64-bit limbs; zero roughly one
@@ -38,15 +38,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Degree 0–64, coefficients up to 4096 bits: the two kernels agree
-    /// bit-for-bit, under both limb backends.
+    /// bit-for-bit, under both profiles' limb kernels.
     #[test]
     fn kronecker_matches_schoolbook_large(
         a in arb_poly(65, 64),
         b in arb_poly(65, 64),
     ) {
         let school = a.mul_schoolbook(&b);
-        for limb in [MulBackend::Schoolbook, MulBackend::Fast] {
-            let kron = SolveCtx::new(limb).run(|| a.mul_kronecker(&b));
+        for profile in Profile::ALL {
+            let kron = SolveCtx::new(profile).run(|| a.mul_kronecker(&b));
             prop_assert_eq!(&kron, &school);
         }
     }
@@ -64,33 +64,31 @@ proptest! {
     ) {
         prop_assert_eq!(a.mul_kronecker(&b), a.mul_schoolbook(&b));
         prop_assert_eq!(kronecker::square(&a), a.mul_schoolbook(&a));
-        // Operator dispatch under a Kronecker session still equals the
+        // Operator dispatch under a Fast session still equals the
         // forced schoolbook product, whichever side of the size
         // crossover the operands fall on.
-        let ctx = SolveCtx::new(MulBackend::Schoolbook)
-            .with_poly_backend(PolyMulBackend::Kronecker);
+        let ctx = SolveCtx::new(Profile::Fast);
         prop_assert_eq!(ctx.run(|| &a * &b), a.mul_schoolbook(&b));
         prop_assert_eq!(ctx.run(|| &a * &a), a.mul_schoolbook(&a));
     }
 
-    /// The recorded model is identical under both polynomial backends:
+    /// The recorded model is identical under both polynomial kernels:
     /// same multiplication count, same bit cost, per phase — the
     /// invariance Figures 2–5 / Table 1 rest on.
     #[test]
-    fn model_counts_are_backend_invariant(
+    fn model_counts_are_kernel_invariant(
         a in arb_poly(10, 6),
         b in arb_poly(10, 6),
     ) {
-        let school = SolveCtx::new(MulBackend::Schoolbook);
-        let kron = SolveCtx::new(MulBackend::Schoolbook)
-            .with_poly_backend(PolyMulBackend::Kronecker);
+        let school = SolveCtx::new(Profile::Paper);
+        let kron = SolveCtx::new(Profile::Fast);
         school.run(|| rr_mp::metrics::with_phase(Phase::TreePoly, || &a * &b));
         kron.run(|| rr_mp::metrics::with_phase(Phase::TreePoly, || a.mul_kronecker(&b)));
         prop_assert_eq!(school.snapshot(), kron.snapshot());
 
         // Squares replay the full aliased double loop on both paths.
-        let school_sq = SolveCtx::new(MulBackend::Schoolbook);
-        let kron_sq = SolveCtx::new(MulBackend::Schoolbook);
+        let school_sq = SolveCtx::new(Profile::Paper);
+        let kron_sq = SolveCtx::new(Profile::Paper);
         school_sq.run(|| {
             let b = a.clone();
             let _ = &a * &b; // unaliased: the historical double loop
@@ -104,8 +102,8 @@ proptest! {
     /// multiplying by a clone.
     #[test]
     fn square_path_matches_general_mul(a in arb_poly(10, 6)) {
-        let via_square = SolveCtx::new(MulBackend::Schoolbook);
-        let via_mul = SolveCtx::new(MulBackend::Schoolbook);
+        let via_square = SolveCtx::new(Profile::Paper);
+        let via_mul = SolveCtx::new(Profile::Paper);
         let s = via_square.run(|| a.square());
         let m = via_mul.run(|| {
             let b = a.clone();
@@ -115,7 +113,7 @@ proptest! {
         prop_assert_eq!(via_square.snapshot(), via_mul.snapshot());
         // Aliased operator references take the squaring path and must
         // still record identically.
-        let aliased = SolveCtx::new(MulBackend::Schoolbook);
+        let aliased = SolveCtx::new(Profile::Paper);
         let v = aliased.run(|| &a * &a);
         prop_assert_eq!(v, via_mul.run(|| a.mul_schoolbook(&a)));
         prop_assert_eq!(aliased.snapshot().total().mul_count,
@@ -192,7 +190,7 @@ fn dispatch_respects_crossover_and_counts_execution() {
     let long = Poly::from_roots(&(0..kronecker::KRONECKER_MIN_LEN as i64).map(Int::from).collect::<Vec<_>>());
     let short = Poly::from_i64(&[1, 2, 3]);
 
-    let ctx = SolveCtx::new(MulBackend::Fast).with_poly_backend(PolyMulBackend::Kronecker);
+    let ctx = SolveCtx::new(Profile::Fast);
     ctx.run(|| &long * &long.clone());
     let after_long = ctx.kron_stats();
     assert!(after_long.kronecker_muls >= 1, "long product should pack");
@@ -205,13 +203,13 @@ fn dispatch_respects_crossover_and_counts_execution() {
         "below-crossover product must fall back to schoolbook"
     );
 
-    // A schoolbook-backend session never packs, whatever the size.
-    let plain = SolveCtx::new(MulBackend::Fast);
+    // A Paper session never packs, whatever the size.
+    let plain = SolveCtx::new(Profile::Paper);
     plain.run(|| &long * &long.clone());
     assert_eq!(plain.kron_stats().kronecker_muls, 0);
-    // ... and its model counts equal the Kronecker session's for the
-    // same product.
-    let kron_ctx = SolveCtx::new(MulBackend::Fast).with_poly_backend(PolyMulBackend::Kronecker);
+    // ... and its model counts equal the Fast session's for the same
+    // product.
+    let kron_ctx = SolveCtx::new(Profile::Fast);
     kron_ctx.run(|| &long * &long.clone());
     assert_eq!(plain.snapshot(), kron_ctx.snapshot());
 }

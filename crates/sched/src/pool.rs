@@ -706,10 +706,9 @@ pub struct PoolStats {
     /// (cancelled or poisoned) before they were stolen.
     pub cancelled_tasks: u64,
     /// Limb-buffer allocations that hit the system allocator inside this
-    /// scope's tasks (per-task `rr_obs::alloc` deltas, summed). With the
-    /// scratch arena on, this counts only cold misses; with it off,
-    /// every acquisition. Zero for workloads that never touch big-int
-    /// arithmetic.
+    /// scope's tasks (per-task `rr_obs::alloc` deltas, summed): the
+    /// scratch arenas' cold misses. Zero for workloads that never touch
+    /// big-int arithmetic.
     pub allocs: u64,
     /// Bytes requested by [`PoolStats::allocs`].
     pub alloc_bytes: u64,

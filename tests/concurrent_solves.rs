@@ -1,16 +1,15 @@
 //! Concurrency guarantees of the session architecture: solves that
-//! overlap in time — on one shared pool, with different backends — are
+//! overlap in time — on one shared pool, with different profiles — are
 //! bit-identical to the same solves run alone, with exact per-solve
 //! metrics and no task leakage between pool scopes.
 //!
-//! The first test is the regression test for the latent backend race:
-//! `SolverConfig::with_backend` used to restore a process-wide atomic at
-//! the end of each solve, so two interleaved solvers with different
-//! backends could corrupt each other's kernel selection. The CI
+//! The first test is the regression test for the kernel-selection race
+//! that a process-wide switch would reintroduce: two interleaved solvers
+//! with different profiles must never see each other's kernels. The CI
 //! concurrency job runs this file in a loop (≥20 iterations) with the
 //! test harness's thread count unpinned.
 
-use polyroots::core::{MulBackend, RootsResult, Runtime, Session};
+use polyroots::core::{Profile, RootsResult, Runtime, Session};
 use polyroots::workload::charpoly_input;
 use polyroots::{solve_batch_on, Poly, SolverConfig};
 use std::sync::Barrier;
@@ -27,23 +26,22 @@ fn assert_same_solve(got: &RootsResult, want: &RootsResult, what: &str) {
     assert_eq!(got.stats.cost, want.stats.cost, "{what}: per-solve cost");
 }
 
-/// Regression test for the backend race: one Schoolbook and one Fast
-/// solve running *concurrently* on the shared runtime must both produce
-/// exactly what they produce in isolation — same roots and same
-/// per-session per-phase counts. Before sessions, the loser of the
-/// `set_mul_backend` race could run (part of) its solve on the other's
-/// kernel.
+/// Regression test for the kernel-selection race: one `Paper` and one
+/// `Fast` solve running *concurrently* on the shared runtime must both
+/// produce exactly what they produce in isolation — same roots and same
+/// per-session per-phase counts. A process-wide selection would let the
+/// loser of a race run (part of) its solve on the other's kernels.
 #[test]
 fn concurrent_backend_solves_match_isolated_runs() {
     let rt = Runtime::new(4);
     let p = charpoly_input(16, 1);
-    let school_cfg = SolverConfig::parallel(40, 2).with_backend(MulBackend::Schoolbook);
-    let fast_cfg = SolverConfig::parallel(40, 2).with_backend(MulBackend::Fast);
+    let school_cfg = SolverConfig::parallel(40, 2).with_profile(Profile::Paper);
+    let fast_cfg = SolverConfig::parallel(40, 2).with_profile(Profile::Fast);
 
     // Ground truth: each config alone.
     let school_alone = Session::with_runtime(school_cfg, &rt).solve(&p).unwrap();
     let fast_alone = Session::with_runtime(fast_cfg, &rt).solve(&p).unwrap();
-    // The cost model records above the kernel: backend-invariant.
+    // The cost model records above the kernel: profile-invariant.
     assert_eq!(school_alone.stats.cost, fast_alone.stats.cost);
 
     for rep in 0..3 {
@@ -61,7 +59,7 @@ fn concurrent_backend_solves_match_isolated_runs() {
             });
             (school.join().unwrap(), fast.join().unwrap())
         });
-        assert_same_solve(&school, &school_alone, &format!("rep {rep}: schoolbook"));
+        assert_same_solve(&school, &school_alone, &format!("rep {rep}: paper"));
         assert_same_solve(&fast, &fast_alone, &format!("rep {rep}: fast"));
     }
 }

@@ -276,9 +276,9 @@ mod tests {
     #[test]
     fn cost_attributed_to_baseline_phase() {
         let p = Poly::from_roots(&ints(&[1, 2, 3, 4, 5]));
-        let before = rr_mp::metrics::snapshot();
-        let _ = find_real_roots(&p, &BaselineConfig::new(8)).unwrap();
-        let d = rr_mp::metrics::snapshot() - before;
+        let ctx = rr_mp::SolveCtx::new(rr_mp::Profile::Paper);
+        let _ = ctx.run(|| find_real_roots(&p, &BaselineConfig::new(8))).unwrap();
+        let d = ctx.snapshot();
         assert!(d.phase(Phase::Baseline).mul_count > 0);
         assert_eq!(d.phase(Phase::TreePoly).mul_count, 0);
     }

@@ -30,7 +30,7 @@ use rr_bench::{digits_to_bits, impl_to_json, maybe_write_bench_json, time_best, 
 use rr_core::{Session, SolverConfig};
 use rr_mp::limb::Limb;
 use rr_mp::nat::{self, div, newton_div};
-use rr_mp::{Profile, SolveCtx};
+use rr_mp::{Exec, Profile, SolveCtx};
 use rr_poly::remainder::remainder_sequence;
 use rr_workload::charpoly_input;
 
@@ -125,9 +125,8 @@ fn grid(args: &Args) {
             println!(
                 " {n:>3} | {profile:<7} | {rem_wall:>9.4}s | {speedup_rem:>7.2}x | {solve_wall:>9.4}s | {speedup_solve:>7.2}x",
             );
-            let nd = ctx.newton_div_stats();
-            let sd = r.stats.newton_div;
-            let per_rep = reps as u64;
+            let (nd, sd) = (ctx.exec(), r.stats.exec);
+            let count = |e: Exec| nd.get(e) / reps as u64 + sd.get(e);
             rows.push(Row {
                 n,
                 profile: profile.to_string(),
@@ -136,11 +135,11 @@ fn grid(args: &Args) {
                 solve_rem_wall_s: r.stats.remainder_wall.as_secs_f64(),
                 model_divs: model.0,
                 model_div_bits: model.1,
-                newton_divs: nd.newton_divs / per_rep + sd.newton_divs,
-                recip_iters: nd.recip_iters / per_rep + sd.recip_iters,
-                corrections: nd.corrections / per_rep + sd.corrections,
-                exact_divs: nd.exact_divs / per_rep + sd.exact_divs,
-                hensel_steps: nd.hensel_steps / per_rep + sd.hensel_steps,
+                newton_divs: count(Exec::NewtonDivs),
+                recip_iters: count(Exec::RecipIters),
+                corrections: count(Exec::Corrections),
+                exact_divs: count(Exec::ExactDivs),
+                hensel_steps: count(Exec::HenselSteps),
                 speedup_rem,
                 speedup_solve,
             });

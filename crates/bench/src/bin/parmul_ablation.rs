@@ -44,7 +44,7 @@ use rr_bench::{digits_to_bits, impl_to_json, maybe_write_bench_json, time_best, 
 use rr_core::{Session, SolverConfig};
 use rr_mp::limb::Limb;
 use rr_mp::nat::{kmul, parmul};
-use rr_mp::{ParMulStats, Profile, SolveCtx};
+use rr_mp::{Exec, ExecSnapshot, Profile, SolveCtx};
 use rr_poly::remainder::remainder_sequence;
 use rr_poly::Poly;
 use rr_workload::charpoly_input;
@@ -141,13 +141,16 @@ impl_to_json!(SolveRow {
 });
 
 /// `(T₁, T_∞)` of the split products, in seconds.
-fn work_span(s: &ParMulStats) -> (f64, f64) {
-    (s.work_ns as f64 * 1e-9, s.span_ns as f64 * 1e-9)
+fn work_span(s: &ExecSnapshot) -> (f64, f64) {
+    (
+        s.get(Exec::ParmulWorkNs) as f64 * 1e-9,
+        s.get(Exec::ParmulSpanNs) as f64 * 1e-9,
+    )
 }
 
 /// `wall − T₁ + max(T₁/procs, T_∞)` — Brent's bound with only the split
 /// products parallelized.
-fn brent(wall: f64, s: &ParMulStats, procs: usize) -> f64 {
+fn brent(wall: f64, s: &ExecSnapshot, procs: usize) -> f64 {
     let (work, span) = work_span(s);
     wall - work + (work / procs as f64).max(span)
 }
@@ -155,7 +158,7 @@ fn brent(wall: f64, s: &ParMulStats, procs: usize) -> f64 {
 /// The isolated remainder phase under `profile` inside a 2-worker pool
 /// scope (an idle worker engages the `fast` splitter): the splitter
 /// counters of one run.
-fn engaged_rem(p: &Poly, profile: Profile) -> ParMulStats {
+fn engaged_rem(p: &Poly, profile: Profile) -> ExecSnapshot {
     let ctx = SolveCtx::new(profile);
     {
         let ctx = &ctx;
@@ -166,7 +169,7 @@ fn engaged_rem(p: &Poly, profile: Profile) -> ParMulStats {
             });
         });
     }
-    ctx.parmul_stats()
+    ctx.exec()
 }
 
 fn grid(args: &Args) {
@@ -204,15 +207,15 @@ fn grid(args: &Args) {
             let (_, best) = time_best(reps, || ctx.run(|| remainder_sequence(&p)));
             let wall = best.as_secs_f64();
             assert_eq!(
-                ctx.parmul_stats(),
-                ParMulStats::default(),
+                ctx.exec().get(Exec::ParmulProducts),
+                0,
                 "bare-thread phase split at n={n}"
             );
             let stats = engaged_rem(&p, profile);
             if profile == Profile::Paper {
                 assert_eq!(
-                    stats,
-                    ParMulStats::default(),
+                    stats.get(Exec::ParmulProducts),
+                    0,
                     "paper profile split at n={n}"
                 );
                 paper_wall = wall;
@@ -221,7 +224,7 @@ fn grid(args: &Args) {
             let avail = if span > 0.0 { work / span } else { 1.0 };
             let mut sims = Vec::new();
             for &procs in &threads_grid {
-                let sim = if stats.products > 0 {
+                let sim = if stats.get(Exec::ParmulProducts) > 0 {
                     brent(wall, &stats, procs)
                 } else {
                     wall
@@ -234,9 +237,9 @@ fn grid(args: &Args) {
                         n,
                         threads: procs,
                         rem_wall_s: wall,
-                        parmul_products: stats.products,
-                        parmul_tasks: stats.tasks,
-                        parmul_operand_bits: stats.operand_bits,
+                        parmul_products: stats.get(Exec::ParmulProducts),
+                        parmul_tasks: stats.get(Exec::ParmulTasks),
+                        parmul_operand_bits: stats.get(Exec::ParmulOperandBits),
                         parmul_work_s: work,
                         parmul_span_s: span,
                         available_parallelism: avail,
@@ -250,7 +253,7 @@ fn grid(args: &Args) {
             if profile == Profile::Fast {
                 println!(
                     " {n:>3} | {paper_wall:>9.4}s | {wall:>9.4}s | {:>8} | {:>7.1}% | {avail:>5.1}x | {:>6.2}x | {:>5.2}x | {:>5.2}x",
-                    stats.products,
+                    stats.get(Exec::ParmulProducts),
                     100.0 * work / wall.max(f64::MIN_POSITIVE),
                     sims.get(1).copied().unwrap_or(1.0),
                     sims.get(2).copied().unwrap_or(1.0),
@@ -268,22 +271,26 @@ fn grid(args: &Args) {
         let mut paper_runs = Vec::new();
         for profile in Profile::ALL {
             // Best-of-reps per thread count: (rem wall, solve wall, stats).
-            let runs: Vec<(f64, f64, ParMulStats)> = threads_grid
+            let runs: Vec<(f64, f64, ExecSnapshot)> = threads_grid
                 .iter()
                 .map(|&threads| {
                     let cfg = SolverConfig::parallel(mu, threads).with_profile(profile);
-                    let mut best = (f64::INFINITY, f64::INFINITY, ParMulStats::default());
+                    let mut best = (f64::INFINITY, f64::INFINITY, ExecSnapshot::default());
                     for _ in 0..reps {
                         let r = Session::new(cfg).solve(&p).expect("real-rooted workload");
                         let rem = r.stats.remainder_wall.as_secs_f64();
                         if rem < best.0 {
                             best.0 = rem;
-                            best.2 = r.stats.parmul;
+                            best.2 = r.stats.exec;
                         }
                         best.1 = best.1.min(r.stats.wall.as_secs_f64());
                     }
                     if profile == Profile::Paper {
-                        assert_eq!(best.2, ParMulStats::default(), "paper solve split at n={n}");
+                        assert_eq!(
+                            best.2.get(Exec::ParmulProducts),
+                            0,
+                            "paper solve split at n={n}"
+                        );
                     }
                     best
                 })
@@ -302,13 +309,17 @@ fn grid(args: &Args) {
                 let speedup_rem = paper_runs[i].0 / rem_wall;
                 let speedup_solve = paper_runs[i].1 / solve_wall;
                 let sim_solve_wall_s = match engaged {
-                    Some(s) if s.products > 0 && threads > 1 => brent(base, &s, threads),
+                    Some(s) if s.get(Exec::ParmulProducts) > 0 && threads > 1 => {
+                        brent(base, &s, threads)
+                    }
                     _ => base,
                 };
                 let sim_speedup_solve = base / sim_solve_wall_s;
                 println!(
                     " {n:>3} | {threads:>3} | {profile:<7} | {rem_wall:>9.4}s | {speedup_rem:>7.2}x | {solve_wall:>9.4}s | {speedup_solve:>7.2}x | {sim_speedup_solve:>7.2}x | {:>8} | {:>6} | {:>6}",
-                    stats.products, stats.tasks, stats.steals
+                    stats.get(Exec::ParmulProducts),
+                    stats.get(Exec::ParmulTasks),
+                    stats.get(Exec::ParmulSteals)
                 );
                 rows.push(
                     SolveRow {
@@ -318,10 +329,10 @@ fn grid(args: &Args) {
                         threads,
                         rem_wall_s: *rem_wall,
                         solve_wall_s: *solve_wall,
-                        parmul_products: stats.products,
-                        parmul_tasks: stats.tasks,
-                        parmul_steals: stats.steals,
-                        parmul_operand_bits: stats.operand_bits,
+                        parmul_products: stats.get(Exec::ParmulProducts),
+                        parmul_tasks: stats.get(Exec::ParmulTasks),
+                        parmul_steals: stats.get(Exec::ParmulSteals),
+                        parmul_operand_bits: stats.get(Exec::ParmulOperandBits),
                         parmul_work_s: work,
                         parmul_span_s: span,
                         speedup_rem,
@@ -381,7 +392,7 @@ fn sweep(args: &Args) {
         println!("  threshold | split      | overhead | tasks  | avail  | sim P=8");
         println!(" -----------+------------+----------+--------+--------+--------");
         for t in [12usize, 16, 24, 32, 48, 64, 96, 128] {
-            let mut best = (f64::INFINITY, ParMulStats::default());
+            let mut best = (f64::INFINITY, ExecSnapshot::default());
             for _ in 0..reps {
                 let ctx = SolveCtx::new(Profile::Fast);
                 let mut out = Vec::new();
@@ -390,13 +401,13 @@ fn sweep(args: &Args) {
                 let dt = t0.elapsed().as_secs_f64();
                 assert_eq!(out, expect, "split product mismatch at t={t}");
                 if dt < best.0 {
-                    best = (dt, ctx.parmul_stats());
+                    best = (dt, ctx.exec());
                 }
             }
             let (wall, stats) = best;
             let (work, span) = work_span(&stats);
             let avail = if span > 0.0 { work / span } else { 1.0 };
-            let sim8 = if stats.products > 0 {
+            let sim8 = if stats.get(Exec::ParmulProducts) > 0 {
                 wall / brent(wall, &stats, 8)
             } else {
                 1.0
@@ -404,7 +415,7 @@ fn sweep(args: &Args) {
             println!(
                 "  {t:>9} | {wall:>9.6}s | {:>7.1}% | {:>6} | {avail:>5.1}x | {sim8:>6.2}x",
                 (wall / serial - 1.0) * 100.0,
-                stats.tasks,
+                stats.get(Exec::ParmulTasks),
             );
         }
         println!();

@@ -29,7 +29,7 @@ use rr_core::tree::{is_spine, Tree};
 use rr_core::{treepoly, Session, SolverConfig};
 use rr_linalg::Mat2;
 use rr_mp::limb::Limb;
-use rr_mp::{Int, Profile, Sign, SolveCtx};
+use rr_mp::{Exec, Int, Profile, Sign, SolveCtx};
 use rr_poly::remainder::{remainder_sequence, RemainderSeq};
 use rr_poly::Poly;
 use rr_workload::charpoly_input;
@@ -159,7 +159,9 @@ fn grid(args: &Args) {
                 " {n:>3} | {profile:<7} | {tree_wall:>9.4}s | {:>7.2}x | {ptree_wall:>9.4}s | {:>7.2}x | {solve_wall:>9.4}s | {:>7.2}x",
                 speedups[0], speedups[1], speedups[2],
             );
-            let (kron, pkron) = (ctx.kron_stats(), ptree_ctx.kron_stats());
+            let (kron, pkron) = (ctx.exec(), ptree_ctx.exec());
+            let count =
+                |e: Exec| kron.get(e) / reps as u64 + pkron.get(e) / ptree_reps as u64;
             rows.push(Row {
                 n,
                 profile: profile.to_string(),
@@ -168,9 +170,8 @@ fn grid(args: &Args) {
                 solve_wall_s: solve_wall,
                 solve_tree_wall_s: r.stats.tree_wall.as_secs_f64(),
                 model_muls,
-                kronecker_muls: kron.kronecker_muls / reps as u64
-                    + pkron.kronecker_muls / ptree_reps as u64,
-                packed_bits: kron.packed_bits / reps as u64 + pkron.packed_bits / ptree_reps as u64,
+                kronecker_muls: count(Exec::KroneckerMuls),
+                packed_bits: count(Exec::PackedBits),
                 speedup_tree: speedups[0],
                 speedup_product_tree: speedups[1],
                 speedup_solve: speedups[2],

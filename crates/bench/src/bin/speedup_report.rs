@@ -25,6 +25,7 @@ use rr_bench::json::Value;
 use rr_bench::schema::maybe_write_bench_json;
 use rr_bench::{digits_to_bits, impl_to_json, Args, PAPER_PROCS};
 use rr_core::{ExecMode, Profile, Session, SolverConfig};
+use rr_mp::Exec;
 use rr_sched::sim;
 use rr_workload::{charpoly_input, paper_degrees};
 
@@ -146,15 +147,17 @@ fn main() {
         // Companion solve on the fast profile (the splitter only
         // engages there, and only when the pool scope has an idle
         // worker — hence two workers, not the trace run's one):
-        // bit-identical roots, and its `SolveStats::parmul` carries the
+        // bit-identical roots, and its `SolveStats::exec` carries the
         // split products' work/span for the intra-multiply concurrency
         // columns.
         let parmul = Session::new(SolverConfig::parallel(mu, 2).with_profile(Profile::Fast))
             .solve(&p)
-        .map(|r| r.stats.parmul)
+        .map(|r| r.stats.exec)
         .unwrap_or_default();
-        let (pm_work, pm_span) =
-            (parmul.work_ns as f64 * 1e-9, parmul.span_ns as f64 * 1e-9);
+        let (pm_work, pm_span) = (
+            parmul.get(Exec::ParmulWorkNs) as f64 * 1e-9,
+            parmul.get(Exec::ParmulSpanNs) as f64 * 1e-9,
+        );
 
         // Replay the recorded graphs back to back on the paper's grid.
         let speedups: Vec<(usize, f64)> = result.stats.simulate_speedups(&PAPER_PROCS);

@@ -9,7 +9,7 @@
 //! * `<path>.report.json` — the compact machine-readable
 //!   [`SolveReport`] produced by [`report_to_json`] (per-phase wall
 //!   time fused with mul/div counts, task totals, observed
-//!   parallelism, pool utilization).
+//!   parallelism, execution counters, pool utilization).
 //!
 //! The traced solve is separate from the measurements the binary
 //! prints, so `--trace` never perturbs the reported numbers.
@@ -17,11 +17,12 @@
 use crate::json::Value;
 use crate::Args;
 use rr_core::{Session, SolveReport, SolverConfig};
+use rr_mp::metrics::{Exec, ALL_EXEC, ALL_PHASES};
 use rr_poly::Poly;
 use std::collections::BTreeMap;
 
 /// Serializes a [`SolveReport`] as a compact JSON value: phases (time +
-/// counts), task-graph totals, and pool statistics.
+/// counts), task-graph totals, execution counters, and pool statistics.
 pub fn report_to_json(report: &SolveReport) -> Value {
     let mut o = BTreeMap::new();
     o.insert("wall_secs".into(), Value::Num(report.wall.as_secs_f64()));
@@ -73,22 +74,21 @@ pub fn report_to_json(report: &SolveReport) -> Value {
         },
     );
     {
+        // Execution counters by label: every nonzero total, plus the
+        // per-phase split of the scratch arenas' cold misses.
+        let exec = &report.exec;
         let mut row = BTreeMap::new();
-        let total = report.alloc.total();
-        row.insert("allocs".into(), Value::Num(total.allocs as f64));
-        row.insert("bytes".into(), Value::Num(total.bytes as f64));
+        for label in ALL_EXEC.into_iter().filter(|&l| exec.get(l) > 0) {
+            row.insert(label.label().into(), Value::Num(exec.get(label) as f64));
+        }
         let mut phases = BTreeMap::new();
-        for (phase, a) in report.alloc.iter() {
-            if a.allocs == 0 {
-                continue;
-            }
-            let mut cell = BTreeMap::new();
-            cell.insert("allocs".into(), Value::Num(a.allocs as f64));
-            cell.insert("bytes".into(), Value::Num(a.bytes as f64));
-            phases.insert(phase.label().into(), Value::Object(cell));
+        for phase in ALL_PHASES.into_iter().filter(|&p| exec.phase(p, Exec::Allocs) > 0) {
+            let cell = [Exec::Allocs, Exec::AllocBytes]
+                .map(|l| (l.label().to_string(), Value::Num(exec.phase(phase, l) as f64)));
+            phases.insert(phase.label().into(), Value::Object(cell.into()));
         }
         row.insert("phases".into(), Value::Object(phases));
-        o.insert("alloc".into(), Value::Object(row));
+        o.insert("exec".into(), Value::Object(row));
     }
     {
         // Per-name aggregates of the trace's counter samples
@@ -119,8 +119,6 @@ pub fn report_to_json(report: &SolveReport) -> Value {
             "cancelled_tasks".into(),
             Value::Num(pool.cancelled_tasks as f64),
         );
-        row.insert("allocs".into(), Value::Num(pool.allocs as f64));
-        row.insert("alloc_bytes".into(), Value::Num(pool.alloc_bytes as f64));
         o.insert("pool".into(), Value::Object(row));
     }
     Value::Object(o)
@@ -176,11 +174,6 @@ mod tests {
             .iter()
             .any(|row| row["name"].as_str() == Some("treepoly")));
         assert!(v["pool"]["workers"].as_u64().unwrap() >= 2);
-        // Physical allocation counters ride along (value depends on
-        // how warm the arenas are, but the fields are always present).
-        assert!(v["alloc"]["allocs"].as_f64().is_some());
-        assert!(v["alloc"]["bytes"].as_f64().is_some());
-        assert!(v["pool"]["allocs"].as_f64().is_some());
         // Counter samples are aggregated per name — a parallel traced
         // solve always records scheduler queue-depth samples.
         let qd = &v["counters"]["queue-depth"];

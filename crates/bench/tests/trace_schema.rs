@@ -7,6 +7,7 @@
 //! guards the schema at the unit level with the in-tree parser.
 
 use rr_bench::json::{from_str, Value};
+use rr_bench::trace::report_to_json;
 use rr_core::{Session, SolverConfig};
 use rr_mp::Int;
 use rr_obs::WORKER_TRACK_BASE;
@@ -110,4 +111,30 @@ fn phase_events_nest_inside_the_solve_stage() {
         let t1 = t0 + ev["dur"].as_f64().unwrap();
         assert!(t0 >= s0 && t1 <= s1, "phase span escapes the solve stage");
     }
+}
+
+/// The compact report carries the solve's execution counters by label.
+/// A sequential solve on a fresh thread starts with a cold scratch
+/// arena, so its allocations are always there.
+#[test]
+fn report_json_carries_exec_counters_of_a_cold_solve() {
+    let report = std::thread::spawn(|| {
+        let p = Poly::from_roots(&(1..=16).map(Int::from).collect::<Vec<_>>());
+        let session = Session::new(SolverConfig::sequential(27));
+        session.solve_traced(&p).expect("real-rooted workload").1
+    })
+    .join()
+    .unwrap();
+    let v = from_str(&report_to_json(&report).to_pretty()).expect("valid JSON");
+    let exec = &v["exec"];
+    assert!(exec["allocs"].as_u64().unwrap() > 0, "cold solve allocated");
+    assert!(exec["alloc_bytes"].as_u64().unwrap() > 0);
+    let Value::Object(phases) = &exec["phases"] else {
+        panic!("per-phase allocations")
+    };
+    let per_phase: u64 = phases.values().map(|cell| cell["allocs"].as_u64().unwrap()).sum();
+    assert_eq!(per_phase, exec["allocs"].as_u64().unwrap());
+    // The paper profile runs no Kronecker, Newton or fork-join kernel,
+    // and zero counters are left out.
+    assert!(exec["kronecker_muls"].as_u64().is_none());
 }

@@ -367,6 +367,14 @@ mod tests {
     use super::*;
     use rr_poly::Poly;
 
+    /// Runs `f` under a private context; returns its result and the
+    /// multiplications it recorded.
+    fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let ctx = rr_mp::SolveCtx::new(rr_mp::Profile::Paper);
+        let r = ctx.run(f);
+        (r, ctx.snapshot().total().mul_count)
+    }
+
     /// Helper: isolate the root of `p` in the real interval (lo, hi) at
     /// precision mu, returning the scaled result.
     fn isolate(p: &Poly, lo: i64, hi: i64, mu: u64, strategy: RefineStrategy) -> Int {
@@ -427,12 +435,8 @@ mod tests {
     fn secant_converges_fast() {
         // derivative-free but still far cheaper than bisection at high µ
         let p = Poly::from_i64(&[-2, 0, 1]);
-        let before = rr_mp::metrics::snapshot();
-        let _ = isolate(&p, 1, 2, 120, RefineStrategy::SecantHybrid);
-        let secant_cost = (rr_mp::metrics::snapshot() - before).total().mul_count;
-        let before = rr_mp::metrics::snapshot();
-        let _ = isolate(&p, 1, 2, 120, RefineStrategy::BisectOnly);
-        let bisect_cost = (rr_mp::metrics::snapshot() - before).total().mul_count;
+        let (_, secant_cost) = counted(|| isolate(&p, 1, 2, 120, RefineStrategy::SecantHybrid));
+        let (_, bisect_cost) = counted(|| isolate(&p, 1, 2, 120, RefineStrategy::BisectOnly));
         assert!(secant_cost < bisect_cost, "{secant_cost} vs {bisect_cost}");
     }
 
@@ -454,14 +458,10 @@ mod tests {
         // fewer evaluations than bisection. 1024x - 1 at µ = 20.
         let p = Poly::from_i64(&[-1, 1024]);
         let mu = 20;
-        let before = rr_mp::metrics::snapshot();
-        let got = isolate(&p, 0, 1024, mu, RefineStrategy::Hybrid);
-        let hybrid_cost = (rr_mp::metrics::snapshot() - before).total().mul_count;
+        let (got, hybrid_cost) = counted(|| isolate(&p, 0, 1024, mu, RefineStrategy::Hybrid));
         // 2^20/1024 = 1024 exactly on the grid
         assert_eq!(got, Int::from(1024));
-        let before = rr_mp::metrics::snapshot();
-        let got2 = isolate(&p, 0, 1024, mu, RefineStrategy::BisectOnly);
-        let bisect_cost = (rr_mp::metrics::snapshot() - before).total().mul_count;
+        let (got2, bisect_cost) = counted(|| isolate(&p, 0, 1024, mu, RefineStrategy::BisectOnly));
         assert_eq!(got2, Int::from(1024));
         assert!(
             hybrid_cost <= bisect_cost,
@@ -484,8 +484,6 @@ mod tests {
     #[test]
     fn phases_are_attributed() {
         let p = Poly::from_i64(&[-2, 0, 1]);
-        // A private sink: the process default sink also sees the other
-        // tests of this binary, which run concurrently.
         let ctx = rr_mp::SolveCtx::new(rr_mp::Profile::Paper);
         let _ = ctx.run(|| isolate(&p, 1, 2, 50, RefineStrategy::Hybrid));
         let d = ctx.snapshot();

@@ -329,9 +329,12 @@ mod tests {
     fn cost_attributed_to_remainder_phase() {
         let roots: Vec<Int> = (1..=12i64).map(Int::from).collect();
         let p = Poly::from_roots(&roots);
-        let before = rr_mp::metrics::snapshot();
-        let _ = parallel_remainder(&p, 4).unwrap();
-        let d = rr_mp::metrics::snapshot() - before;
+        // Every task installs the context, as the solver's do.
+        let ctx = rr_mp::SolveCtx::new(rr_mp::Profile::Paper);
+        let task_ctx = ctx.clone();
+        let wrapper: TaskWrapper = Arc::new(move |task| task_ctx.run(task));
+        let _ = ctx.run(|| parallel_remainder_on(&Pool::new(4), 4, wrapper, None, &p)).unwrap();
+        let d = ctx.snapshot();
         assert!(d.phase(Phase::RemainderSeq).mul_count > 0);
         assert_eq!(d.phase(Phase::TreePoly).mul_count, 0);
     }

@@ -22,7 +22,7 @@
 //! ([`SolveReport::write_chrome`]) for Perfetto / `chrome://tracing`.
 
 use crate::solver::RootsResult;
-use rr_mp::metrics::{CostSnapshot, ALL_PHASES};
+use rr_mp::metrics::{CostSnapshot, Exec, ALL_PHASES};
 use rr_obs::trace::WORKER_TRACK_BASE;
 use rr_obs::{CounterRecord, Recorder, SpanRecord, Trace};
 use rr_sched::{sim, PoolStats, TaskTrace};
@@ -80,10 +80,10 @@ pub struct SolveReport {
     /// (squarefree retry / Sturm baseline) instead of running the
     /// paper's pipeline on the literal input.
     pub degraded: Option<crate::solver::Degradation>,
-    /// Physical limb-buffer allocation counts per phase (see
-    /// [`crate::SolveStats::alloc`]) — the observability face of the
-    /// scratch arena: a warm solve's remainder phase records zero.
-    pub alloc: rr_mp::AllocStats,
+    /// Physical execution counters per phase (see
+    /// [`crate::SolveStats::exec`]) — among them the scratch arenas'
+    /// cold misses: a warm solve's remainder phase records zero.
+    pub exec: rr_mp::ExecSnapshot,
     /// The merged trace: phase/stage spans from the recorder, plus
     /// per-task spans and queue-depth counters from the scheduler.
     pub trace: Trace,
@@ -168,9 +168,10 @@ impl std::fmt::Display for SolveReport {
         if let Some(d) = self.degraded {
             writeln!(f, "  degraded: {d}")?;
         }
-        let alloc = self.alloc.total();
-        if alloc.allocs > 0 {
-            writeln!(f, "  allocs: {} ({} bytes)", alloc.allocs, alloc.bytes)?;
+        let allocs = self.exec.get(Exec::Allocs);
+        if allocs > 0 {
+            let bytes = self.exec.get(Exec::AllocBytes);
+            writeln!(f, "  allocs: {allocs} ({bytes} bytes)")?;
         }
         for p in &self.phases {
             writeln!(
@@ -303,7 +304,7 @@ pub(crate) fn build_report(result: &RootsResult, recorder: &Recorder) -> SolveRe
         panicked_tasks,
         cancelled_tasks,
         degraded: result.degraded,
-        alloc: result.stats.alloc,
+        exec: result.stats.exec,
         trace,
     }
 }

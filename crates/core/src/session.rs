@@ -516,13 +516,19 @@ mod tests {
     }
 
     #[test]
-    fn session_solves_leave_global_metrics_untouched() {
-        let before = rr_mp::metrics::snapshot();
-        let session = Session::new(SolverConfig::parallel(6, 2));
-        session.solve(&wilkinson(9)).unwrap();
-        let d = rr_mp::metrics::snapshot() - before;
-        assert_eq!(d.phase(Phase::RemainderSeq).mul_count, 0);
-        assert_eq!(d.phase(Phase::TreePoly).mul_count, 0);
+    fn session_solves_leave_enclosing_context_untouched() {
+        // A context installed on the calling thread is the only other
+        // place a solve's events could land; the solve's own stats must
+        // hold all of them.
+        let (cfg, p) = (SolverConfig::parallel(6, 2), wilkinson(9));
+        let alone = Session::new(cfg).solve(&p).unwrap();
+        let outer = rr_mp::SolveCtx::new(Profile::Paper);
+        let r = outer.run(|| Session::new(cfg).solve(&p).unwrap());
+        assert_eq!(outer.snapshot(), rr_mp::metrics::CostSnapshot::default());
+        assert_eq!(outer.exec(), rr_mp::ExecSnapshot::default());
+        assert_eq!(r.stats.cost, alone.stats.cost);
+        assert!(r.stats.muls(Phase::RemainderSeq) > 0);
+        assert!(r.stats.muls(Phase::TreePoly) > 0);
     }
 
     #[test]

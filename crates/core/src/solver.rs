@@ -313,24 +313,14 @@ pub struct SolveStats {
     pub traces: Vec<TaskTrace>,
     /// The root bound `R` used (all roots in `(−2^R, 2^R)`).
     pub bound_bits: u64,
-    /// Physical-work counters of the Newton division kernel for this
-    /// solve: all zero under [`Profile::Paper`]. Deliberately *outside*
-    /// [`SolveStats::cost`], whose equality across profiles is the
-    /// model-invariance guarantee.
-    pub newton_div: rr_mp::NewtonDivStats,
-    /// Physical limb-buffer allocation counts per phase, from the
-    /// solve's private sink: the scratch arenas' cold misses. Like
-    /// `newton_div`, deliberately outside [`SolveStats::cost`]: it varies
-    /// with how warm each worker's arena is while `cost` stays
-    /// bit-identical.
-    pub alloc: rr_mp::AllocStats,
-    /// Physical-work counters of the fork-join multiplication splitter
-    /// for this solve: all zero under [`Profile::Paper`] or without idle
-    /// pool workers. Like `newton_div` and `alloc`, deliberately
-    /// *outside* [`SolveStats::cost`] — the model charge is recorded
-    /// before the kernel runs, so `cost` stays bit-identical across
-    /// profiles while these describe what actually executed.
-    pub parmul: rr_mp::ParMulStats,
+    /// Physical execution counters of this solve, per phase and
+    /// [`rr_mp::Exec`] label, from the solve's private sink: Kronecker
+    /// products, Newton and 2-adic divisions and fork-join splits (all
+    /// zero under [`Profile::Paper`]), and the scratch arenas' cold
+    /// misses (which vary with how warm each worker's arena is).
+    /// Deliberately *outside* [`SolveStats::cost`], whose equality
+    /// across profiles is the model-invariance guarantee.
+    pub exec: rr_mp::ExecSnapshot,
 }
 
 impl SolveStats {
@@ -648,9 +638,7 @@ fn solve_inner(
         pool: pool_stats,
         traces,
         bound_bits,
-        newton_div: ctx.newton_div_stats(),
-        alloc: ctx.alloc_stats(),
-        parmul: ctx.parmul_stats(),
+        exec: ctx.exec(),
     };
     Ok(RootsResult {
         roots: scaled.into_iter().map(|num| Dyadic::new(num, cfg.mu)).collect(),
@@ -693,9 +681,7 @@ fn baseline_fallback(
         pool: None,
         traces,
         bound_bits: root_bound_bits(p),
-        newton_div: ctx.newton_div_stats(),
-        alloc: ctx.alloc_stats(),
-        parmul: ctx.parmul_stats(),
+        exec: ctx.exec(),
     };
     Ok(RootsResult {
         roots: scaled.into_iter().map(|num| Dyadic::new(num, cfg.mu)).collect(),

@@ -39,7 +39,7 @@ pub fn solve_static(
 
 /// [`solve_static`] with an optional session context installed around
 /// every task (the static scheduler spawns its own round threads, which
-/// would otherwise fall back to the `Paper` profile and the default sink).
+/// would otherwise fall back to the `Paper` profile and record nothing).
 pub fn solve_static_with_ctx(
     rs: &RemainderSeq,
     mu: u64,

@@ -129,10 +129,10 @@ mod tests {
 
     #[test]
     fn charpoly_cost_attributed_to_charpoly_phase() {
-        let before = rr_mp::metrics::snapshot();
+        let ctx = rr_mp::SolveCtx::new(rr_mp::Profile::Paper);
         let a = IntMatrix::from_i64(3, &[1, 1, 0, 1, 1, 1, 0, 1, 1]);
-        let _ = char_poly(&a);
-        let d = rr_mp::metrics::snapshot() - before;
+        let _ = ctx.run(|| char_poly(&a));
+        let d = ctx.snapshot();
         assert!(d.phase(metrics::Phase::CharPoly).mul_count > 0);
         assert_eq!(d.phase(metrics::Phase::RemainderSeq).mul_count, 0);
     }

@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn mul_entry_is_profile_invariant() {
-        use rr_mp::{Profile, SolveCtx};
+        use rr_mp::{Exec, Profile, SolveCtx};
         // Tree-stage-shaped entries: moderate degree, growing coefficients.
         let roots: Vec<Int> = (-10..10).map(Int::from).collect();
         let f = Poly::from_roots(&roots);
@@ -208,13 +208,13 @@ mod tests {
         // Identical model counts, and the Fast session really
         // packed (the entries are far above the crossover).
         assert_eq!(school_ctx.snapshot(), kron_ctx.snapshot());
-        assert!(kron_ctx.kron_stats().kronecker_muls >= 8);
-        assert_eq!(school_ctx.kron_stats().kronecker_muls, 0);
+        assert!(kron_ctx.exec().get(Exec::KroneckerMuls) >= 8);
+        assert_eq!(school_ctx.exec().get(Exec::KroneckerMuls), 0);
     }
 
     #[test]
     fn div_scalar_exact_is_profile_invariant() {
-        use rr_mp::{Profile, SolveCtx};
+        use rr_mp::{Exec, Profile, SolveCtx};
         // Long coefficients over a long divisor: force the regime where
         // the Newton path actually dispatches (both divisor and
         // quotient far above the crossover).
@@ -237,10 +237,10 @@ mod tests {
         // with the inverse lifted far fewer times than it divided
         // (shared across the whole matrix).
         assert_eq!(school_ctx.snapshot(), newton_ctx.snapshot());
-        let stats = newton_ctx.newton_div_stats();
-        assert!(stats.exact_divs >= 4, "{stats:?}");
-        assert!(stats.hensel_steps > 0, "{stats:?}");
-        assert_eq!(school_ctx.newton_div_stats().exact_divs, 0);
+        let stats = newton_ctx.exec();
+        assert!(stats.get(Exec::ExactDivs) >= 4, "{stats:?}");
+        assert!(stats.get(Exec::HenselSteps) > 0, "{stats:?}");
+        assert_eq!(school_ctx.exec().get(Exec::ExactDivs), 0);
     }
 
     #[test]

@@ -127,8 +127,8 @@ pub fn tree_mults(n: usize) -> u64 {
 mod tests {
     use super::*;
     use rr_core::{RootApproximator, SolverConfig};
-    use rr_mp::metrics::{self, Phase};
-    use rr_mp::Int;
+    use rr_mp::metrics::Phase;
+    use rr_mp::{Int, Profile, SolveCtx};
     use rr_poly::Poly;
 
     /// Remainder-stage prediction is *exact* for dense inputs.
@@ -138,9 +138,9 @@ mod tests {
             // roots chosen so no intermediate coefficient vanishes
             let roots: Vec<Int> = (0..n as i64).map(|r| Int::from(3 * r + 1)).collect();
             let p = Poly::from_roots(&roots);
-            let before = metrics::snapshot();
-            let _ = rr_poly::remainder::remainder_sequence(&p).unwrap();
-            let d = metrics::snapshot() - before;
+            let ctx = SolveCtx::new(Profile::Paper);
+            let _ = ctx.run(|| rr_poly::remainder::remainder_sequence(&p)).unwrap();
+            let d = ctx.snapshot();
             // the sequential path runs un-phased here: count all phases
             assert_eq!(d.total().mul_count, remainder_mults(n), "n={n}");
         }

@@ -20,8 +20,6 @@ proptest! {
     ) {
         let ints: Vec<Int> = roots.iter().map(|&r| Int::from(r)).collect();
         let p = Poly::from_roots(&ints);
-        // A private sink: the process default sink also sees the other
-        // tests of this binary, which run concurrently.
         let ctx = SolveCtx::new(Profile::Paper);
         let _ = ctx.run(|| remainder_sequence(&p)).unwrap();
         let observed = ctx.snapshot().total().mul_count;

@@ -16,7 +16,7 @@
 //! under a write lock; everyone else reads. It is extended along the
 //! power-of-two length sequence `1, 2, 4, …` regardless of the order
 //! concurrent divisions request precision, so the recorded
-//! [`crate::NewtonDivStats::hensel_steps`] are schedule-independent —
+//! [`crate::Exec::HenselSteps`] are schedule-independent —
 //! the end-to-end differential tests assert physical counters are
 //! deterministic even for parallel solves.
 //!
@@ -29,7 +29,8 @@ use crate::int::Sign;
 use crate::limb::Limb;
 use crate::nat::{self, newton_div};
 use crate::session::active_profile;
-use crate::{metrics, Int, Profile};
+use crate::metrics::{self, Exec};
+use crate::{Int, Profile};
 use parking_lot::RwLock;
 
 /// Quotient limb count at or above which a prepared division takes the
@@ -125,7 +126,7 @@ impl ExactDivisor {
 
     /// `us · odd⁻¹ mod 2^(64k)`, extending the cached inverse first when
     /// it is too short, and recording one 2-adic division (plus any
-    /// lifting steps) in [`crate::NewtonDivStats`].
+    /// lifting steps) in the [`crate::Exec`] division counters.
     fn mul_by_inv(&self, us: &[Limb], k: usize) -> Vec<Limb> {
         let mut steps = 0u64;
         let fast = {
@@ -140,7 +141,7 @@ impl ExactDivisor {
             newton_div::extend_inv_2adic(&self.odd, &mut inv, k.next_power_of_two(), &mut steps);
             newton_div::mul_low(us, &inv, k)
         });
-        metrics::record_newton_exact_div(steps);
+        metrics::count(&[(Exec::ExactDivs, 1), (Exec::HenselSteps, steps)]);
         q
     }
 
@@ -304,21 +305,22 @@ mod tests {
             let q0 = Int::from(5u64).pow(3400); // quotient ~124 limbs
             let u0 = &d * &q0;
             assert_eq!(prepared.div_exact(&u0), q0);
-            let after_first = ctx.newton_div_stats();
-            assert!(after_first.exact_divs >= 1);
-            assert!(after_first.hensel_steps >= 1, "first division lifts the inverse");
+            let after_first = ctx.exec();
+            assert!(after_first.get(Exec::ExactDivs) >= 1);
+            assert!(after_first.get(Exec::HenselSteps) >= 1, "first division lifts the inverse");
 
             // Subsequent no-larger divisions reuse the lifted inverse.
             for m in [7u64, 11, 13] {
                 let q = Int::from(m) * Int::from(5u64).pow(3000);
                 assert_eq!(prepared.div_exact(&(&d * &q)), q);
             }
-            let after_batch = ctx.newton_div_stats();
+            let after_batch = ctx.exec();
             assert_eq!(
-                after_batch.hensel_steps, after_first.hensel_steps,
+                after_batch.get(Exec::HenselSteps),
+                after_first.get(Exec::HenselSteps),
                 "cached inverse: no further lifting for quotients that fit"
             );
-            assert_eq!(after_batch.exact_divs, after_first.exact_divs + 3);
+            assert_eq!(after_batch.get(Exec::ExactDivs), after_first.get(Exec::ExactDivs) + 3);
         });
     }
 
@@ -438,7 +440,7 @@ mod tests {
         assert_eq!(run(&school_ctx), q);
         assert_eq!(run(&newton_ctx), q);
         assert_eq!(school_ctx.snapshot(), newton_ctx.snapshot());
-        assert!(newton_ctx.newton_div_stats().exact_divs >= 1);
-        assert_eq!(school_ctx.newton_div_stats().exact_divs, 0);
+        assert!(newton_ctx.exec().get(Exec::ExactDivs) >= 1);
+        assert_eq!(school_ctx.exec().get(Exec::ExactDivs), 0);
     }
 }

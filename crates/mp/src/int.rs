@@ -767,17 +767,15 @@ mod tests {
 
     #[test]
     fn add_mul_assign_records_one_mul() {
-        use crate::metrics;
-        let before = metrics::snapshot();
+        let ctx = crate::SolveCtx::new(crate::Profile::Paper);
         let mut acc = i(10);
-        acc.add_mul_assign(&i(12345), &i(99999));
-        let d = metrics::snapshot() - before;
+        ctx.run(|| acc.add_mul_assign(&i(12345), &i(99999)));
+        let d = ctx.snapshot();
         assert_eq!(d.total().mul_count, 1);
         assert_eq!(d.total().mul_bits, 14 * 17);
         // zero operands still record, like `x * y` does
-        let before = metrics::snapshot();
-        acc.add_mul_assign(&Int::zero(), &i(5));
-        assert_eq!((metrics::snapshot() - before).total().mul_count, 1);
+        ctx.run(|| acc.add_mul_assign(&Int::zero(), &i(5)));
+        assert_eq!((ctx.snapshot() - d).total().mul_count, 1);
     }
 
     #[test]

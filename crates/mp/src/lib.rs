@@ -35,7 +35,7 @@
 //! private sink receives every recorded event, so concurrent solves
 //! with different profiles neither corrupt each other's selection nor
 //! cross-attribute counts. Code running outside any session dispatches
-//! as `Paper` and records into the [`metrics::snapshot`] default sink.
+//! as `Paper` and records nothing.
 //!
 //! ## Example
 //!
@@ -67,6 +67,6 @@ mod int;
 
 pub use divisor::ExactDivisor;
 pub use int::{Int, Sign};
-pub use metrics::{AllocStats, KroneckerStats, MetricsSink, NewtonDivStats, ParMulStats, PhaseAlloc};
+pub use metrics::{Exec, ExecSnapshot};
 pub use profile::Profile;
 pub use session::{active_profile, CtxGuard, SolveCtx};

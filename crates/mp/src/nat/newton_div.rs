@@ -60,12 +60,13 @@
 //! in the paper cost model: `Int::div_rem` charges the Algorithm D work
 //! estimate before any kernel runs, so `CostSnapshot` is
 //! profile-invariant by construction. What physically ran is recorded in
-//! [`crate::metrics::NewtonDivStats`] and, for traced solves, a `"div"`
+//! the [`Exec`] division counters and, for traced solves, a `"div"`
 //! span.
 
 use super::{add, add_assign, bit_len, cmp, div, is_zero, mul_auto, normalized, shl, shr, sqr_auto,
             sub, sub_assign, trailing_zeros};
 use crate::limb::{DoubleLimb, Limb, LIMB_BITS};
+use crate::metrics::Exec;
 use std::cmp::Ordering;
 
 /// Limb count (of both the divisor and the quotient) at or above which
@@ -173,7 +174,11 @@ fn newton_div_rem(u: &[Limb], v: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
         sub_assign(&mut r, v);
         add_assign(&mut q, &[1]);
     }
-    crate::metrics::record_newton_div(iters, corrections);
+    crate::metrics::count(&[
+        (Exec::NewtonDivs, 1),
+        (Exec::RecipIters, iters),
+        (Exec::Corrections, corrections),
+    ]);
     (q, r)
 }
 
@@ -475,7 +480,7 @@ pub fn div_exact_with_threshold(u: &[Limb], v: &[Limb], threshold: usize) -> Vec
     let mut steps = 0u64;
     let inv = inv_2adic(v2, k2, &mut steps);
     let q = normalized(mul_low(u2, &inv, k2));
-    crate::metrics::record_newton_exact_div(steps);
+    crate::metrics::count(&[(Exec::ExactDivs, 1), (Exec::HenselSteps, steps)]);
     debug_assert_eq!(
         mul_auto(&q, v2),
         normalized(u2.to_vec()),

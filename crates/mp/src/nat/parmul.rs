@@ -51,10 +51,11 @@
 //! model: [`crate::metrics`] charges each product once at the `Int`
 //! layer before any kernel runs, which is what keeps `figs2_5`/`table1`
 //! bit-identical across profiles. What the splitter *executed* is
-//! recorded separately via [`crate::metrics::record_parmul`].
+//! recorded separately under the `Parmul*` [`Exec`] labels.
 
 use super::{kmul, trim};
 use crate::limb::Limb;
+use crate::metrics::Exec;
 use kmul::{add_at, trimmed};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -236,13 +237,14 @@ pub fn square_into(a: &[Limb], out: &mut Vec<Limb>) {
 fn record(c: &SplitCounters, operand_bits: u64, work_ns: u64, span_ns: u64) {
     let tasks = c.tasks.load(Ordering::Relaxed);
     if tasks > 0 {
-        crate::metrics::record_parmul(
-            tasks,
-            c.steals.load(Ordering::Relaxed),
-            operand_bits,
-            work_ns,
-            span_ns,
-        );
+        crate::metrics::count(&[
+            (Exec::ParmulProducts, 1),
+            (Exec::ParmulTasks, tasks),
+            (Exec::ParmulSteals, c.steals.load(Ordering::Relaxed)),
+            (Exec::ParmulOperandBits, operand_bits),
+            (Exec::ParmulWorkNs, work_ns),
+            (Exec::ParmulSpanNs, span_ns),
+        ]);
     }
 }
 
@@ -462,9 +464,9 @@ mod tests {
             mul_into(&a, &b, &mut out);
             assert_eq!(out, school::mul(&a, &b));
         });
-        let s = ctx.parmul_stats();
-        assert_eq!(s.products, 1, "work proxy admits the sub-threshold short side");
-        assert!(s.tasks >= 2);
+        let s = ctx.exec();
+        assert_eq!(s.get(Exec::ParmulProducts), 1, "work proxy admits the sub-threshold short side");
+        assert!(s.get(Exec::ParmulTasks) >= 2);
     }
 
     #[test]
@@ -484,8 +486,7 @@ mod tests {
             mul_into(&a, &a.clone(), &mut out);
             assert_eq!(out, school::mul(&a, &a));
         });
-        let s = ctx.parmul_stats();
-        assert_eq!(s.products, 0, "no split, no product recorded");
+        assert_eq!(ctx.exec().get(Exec::ParmulProducts), 0, "no split, no product recorded");
     }
 
     #[test]
@@ -496,14 +497,15 @@ mod tests {
             let mut out = Vec::new();
             mul_into(&a, &a, &mut out);
         });
-        let s = ctx.parmul_stats();
-        assert_eq!(s.products, 1);
-        assert!(s.tasks >= 2, "one balanced split submits two subtasks");
-        assert_eq!(s.steals, 0, "no pool scope: every subtask ran inline");
-        assert_eq!(s.operand_bits, super::super::bit_len(&a));
-        assert!(s.work_ns > 0, "a split product measures nonzero work");
+        let s = ctx.exec();
+        assert_eq!(s.get(Exec::ParmulProducts), 1);
+        assert!(s.get(Exec::ParmulTasks) >= 2, "one balanced split submits two subtasks");
+        assert_eq!(s.get(Exec::ParmulSteals), 0, "no pool scope: every subtask ran inline");
+        assert_eq!(s.get(Exec::ParmulOperandBits), super::super::bit_len(&a));
+        let (work, span) = (s.get(Exec::ParmulWorkNs), s.get(Exec::ParmulSpanNs));
+        assert!(work > 0, "a split product measures nonzero work");
         assert!(
-            s.span_ns > 0 && s.span_ns <= s.work_ns,
+            span > 0 && span <= work,
             "critical path is positive and no longer than the work: {s:?}"
         );
     }

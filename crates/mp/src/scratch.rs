@@ -13,9 +13,10 @@
 //!
 //! Reuse is unconditional: every acquisition that actually hits the
 //! allocator — a cold miss on an empty or undersized free list — is
-//! counted via [`crate::metrics::record_alloc`], so the per-phase
-//! allocation counters ([`crate::AllocStats`]) are measured, not
-//! estimated. A warm repeat solve's remainder phase records zero
+//! counted once, as [`Exec::Allocs`] and [`Exec::AllocBytes`] under the
+//! current phase ([`crate::metrics::count`]), so the per-phase
+//! allocation counters of a solve are measured, not estimated. A warm
+//! repeat solve's remainder phase records zero
 //! (`results/BENCH_arena.json`, and the `profile_diff` suite asserts
 //! it).
 //!
@@ -37,6 +38,7 @@
 //! so tests can assert a scope returned everything it took.
 
 use crate::limb::Limb;
+use crate::metrics::Exec;
 use std::cell::RefCell;
 
 /// Retained buffers beyond this count are dropped by [`Scratch::put`]:
@@ -69,7 +71,7 @@ impl Scratch {
     ///
     /// Reuses the most recently [`put`](Scratch::put) buffer when one
     /// with enough capacity is available; otherwise allocates fresh and
-    /// records the allocation ([`crate::metrics::record_alloc`]). The
+    /// counts the allocation ([`crate::metrics::count`]). The
     /// buffer's spare capacity is dirty — see the module docs for the
     /// hygiene contract.
     pub fn take(&mut self, min_limbs: usize) -> Vec<Limb> {
@@ -83,7 +85,8 @@ impl Scratch {
                 return v;
             }
         }
-        crate::metrics::record_alloc((min_limbs * std::mem::size_of::<Limb>()) as u64);
+        let bytes = (min_limbs * std::mem::size_of::<Limb>()) as u64;
+        crate::metrics::count(&[(Exec::Allocs, 1), (Exec::AllocBytes, bytes)]);
         // No fit: recycle the top buffer by growing it (one counted
         // allocation, but the list stays bounded).
         match self.bufs.pop() {
@@ -188,21 +191,23 @@ mod tests {
 
     #[test]
     fn only_cold_misses_count() {
-        let mut s = Scratch::new();
-        let before = rr_obs::alloc::reading();
-        for _ in 0..10 {
-            let v = s.take(32);
-            s.put(v);
-        }
-        let d = rr_obs::alloc::reading() - before;
-        assert_eq!(d.allocs, 1, "one cold miss, nine reuses");
+        let ctx = crate::SolveCtx::new(crate::Profile::Paper);
+        ctx.run(|| {
+            let mut s = Scratch::new();
+            for _ in 0..10 {
+                let v = s.take(32);
+                s.put(v);
+            }
+        });
+        assert_eq!(ctx.exec().get(Exec::Allocs), 1, "one cold miss, nine reuses");
     }
 
     #[test]
     fn session_sink_sees_per_phase_allocs() {
+        use crate::metrics::Phase;
         let ctx = crate::SolveCtx::new(crate::Profile::Paper);
         ctx.run(|| {
-            crate::metrics::with_phase(crate::metrics::Phase::RemainderSeq, || {
+            crate::metrics::with_phase(Phase::RemainderSeq, || {
                 let mut s = Scratch::new();
                 let v = s.take(8);
                 s.put(v);
@@ -210,13 +215,13 @@ mod tests {
                 s.put(v);
             });
         });
-        let a = ctx.alloc_stats();
-        assert_eq!(a.phase(crate::metrics::Phase::RemainderSeq).allocs, 1);
+        let a = ctx.exec();
+        assert_eq!(a.phase(Phase::RemainderSeq, Exec::Allocs), 1);
         assert_eq!(
-            a.phase(crate::metrics::Phase::RemainderSeq).bytes,
+            a.phase(Phase::RemainderSeq, Exec::AllocBytes),
             8 * std::mem::size_of::<Limb>() as u64
         );
-        assert_eq!(a.total().allocs, 1);
+        assert_eq!(a.get(Exec::Allocs), 1);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //!
 //! * the kernel **profile** ([`crate::Profile`]) to dispatch
 //!   [`crate::Int`] and `Poly` kernels to, and
-//! * a private **metrics sink** ([`crate::metrics::MetricsSink`]) that
-//!   receives every arithmetic event performed under the context.
+//! * a private **metrics sink** that receives every event performed
+//!   under the context: the model counters read by
+//!   [`SolveCtx::snapshot`] and the execution counters read by
+//!   [`SolveCtx::exec`].
 //!
 //! A context is *installed* on a thread for a scope
 //! ([`SolveCtx::install`] / [`SolveCtx::run`]); while installed, all
@@ -20,14 +22,14 @@
 //! Installation is scoped and stack-shaped: contexts nest, the innermost
 //! wins, and the guard restores the previous state on drop (including
 //! unwind). A thread with no context installed dispatches as
-//! [`Profile::Paper`] and records into the default metrics sink read by
-//! [`crate::metrics::snapshot`].
+//! [`Profile::Paper`] and records nothing.
 //!
 //! The recording path stays contention-free: the first install of a
 //! given context on a thread registers one per-thread counter block with
 //! the context's sink and caches it in thread-local storage, so steady
-//! state recording is two thread-local reads and a relaxed atomic add —
-//! identical in shape to the pre-session path.
+//! state recording is two thread-local reads and a relaxed atomic add.
+//! Every event — model charge or kernel counter — reaches that block
+//! through one router, `record`.
 //!
 //! ```
 //! use rr_mp::{metrics::Phase, Int, Profile, SolveCtx};
@@ -44,7 +46,7 @@
 //! assert_eq!(paper.snapshot().total().mul_count, 1);
 //! ```
 
-use crate::metrics::{CostSnapshot, MetricsSink, ThreadCounters};
+use crate::metrics::{CostSnapshot, ExecSnapshot, MetricsSink, ThreadCounters};
 use crate::Profile;
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -126,36 +128,14 @@ impl SolveCtx {
         self.sink.snapshot()
     }
 
-    /// Kronecker execution counters recorded under this context — what
-    /// the Kronecker polynomial path actually ran, which the model
-    /// counters in [`SolveCtx::snapshot`] deliberately do not reflect.
-    pub fn kron_stats(&self) -> crate::metrics::KroneckerStats {
-        self.sink.kron_snapshot()
-    }
-
-    /// Newton-division execution counters recorded under this context —
-    /// what the Newton division path actually ran, which the
-    /// profile-invariant cost model in [`SolveCtx::snapshot`]
-    /// deliberately does not reflect.
-    pub fn newton_div_stats(&self) -> crate::metrics::NewtonDivStats {
-        self.sink.newton_div_snapshot()
-    }
-
-    /// Parallel-multiplication execution counters recorded under this
-    /// context — what the fork-join splitter actually ran, which the
-    /// profile-invariant cost model in [`SolveCtx::snapshot`]
-    /// deliberately does not reflect.
-    pub fn parmul_stats(&self) -> crate::metrics::ParMulStats {
-        self.sink.parmul_snapshot()
-    }
-
-    /// Physical allocation counters recorded under this context — how
-    /// many limb-buffer acquisitions reached the system allocator, per
-    /// phase. Varies with how warm each thread's arena is, which is
-    /// exactly why it lives outside the profile-invariant cost model of
-    /// [`SolveCtx::snapshot`].
-    pub fn alloc_stats(&self) -> crate::metrics::AllocStats {
-        self.sink.alloc_snapshot()
+    /// Execution counters recorded under this context, per phase and
+    /// [`crate::metrics::Exec`] label: what the kernels physically ran
+    /// (Kronecker products, Newton and 2-adic divisions, fork-join
+    /// splits, scratch-arena cold misses), which the profile-invariant
+    /// cost model in [`SolveCtx::snapshot`] deliberately does not
+    /// reflect.
+    pub fn exec(&self) -> ExecSnapshot {
+        self.sink.exec()
     }
 
     /// This thread's counter block in the context's sink, from the
@@ -241,136 +221,15 @@ pub fn has_current() -> bool {
     AMBIENT.with(|stack| !stack.borrow().is_empty())
 }
 
-/// Records a multiplication into the innermost installed context's sink.
-/// Returns false (and records nothing) if no context is installed.
+/// Runs `f` on the calling thread's counter block in the innermost
+/// installed context's sink; does nothing if no context is installed.
+/// The single routing point of every event the metrics module records.
 #[inline]
-pub(crate) fn record_session_mul(phase: usize, a_bits: u64, b_bits: u64) -> bool {
-    AMBIENT.with(|stack| match stack.borrow().last() {
-        Some(active) => {
-            active.counters.record_mul(phase, a_bits, b_bits);
-            true
+pub(crate) fn record(f: impl FnOnce(&ThreadCounters)) {
+    AMBIENT.with(|stack| {
+        if let Some(active) = stack.borrow().last() {
+            f(&active.counters);
         }
-        None => false,
-    })
-}
-
-/// Records a division into the innermost installed context's sink.
-/// Returns false (and records nothing) if no context is installed.
-#[inline]
-pub(crate) fn record_session_div(phase: usize, q_bits: u64, b_bits: u64) -> bool {
-    AMBIENT.with(|stack| match stack.borrow().last() {
-        Some(active) => {
-            active.counters.record_div(phase, q_bits, b_bits);
-            true
-        }
-        None => false,
-    })
-}
-
-/// Bulk variant of [`record_session_mul`]: `count` multiplications
-/// totalling `bits` of model cost in one update. Returns false (and
-/// records nothing) if no context is installed.
-#[inline]
-pub(crate) fn record_session_mul_bulk(phase: usize, count: u64, bits: u64) -> bool {
-    AMBIENT.with(|stack| match stack.borrow().last() {
-        Some(active) => {
-            active.counters.record_mul_bulk(phase, count, bits);
-            true
-        }
-        None => false,
-    })
-}
-
-/// Records one executed Kronecker-substitution polynomial product (and
-/// the total bits packed for it) into the innermost installed context's
-/// sink. Returns false (and records nothing) if no context is installed.
-///
-/// These counters live *outside* the paper cost model
-/// ([`crate::metrics::CostSnapshot`]): they describe what actually ran,
-/// not what the model charges.
-#[inline]
-pub(crate) fn record_session_kron(packed_bits: u64) -> bool {
-    AMBIENT.with(|stack| match stack.borrow().last() {
-        Some(active) => {
-            active.counters.record_kron(packed_bits);
-            true
-        }
-        None => false,
-    })
-}
-
-/// Records one executed Newton-path division (its reciprocal iterations
-/// and correction steps) into the innermost installed context's sink.
-/// Returns false (and records nothing) if no context is installed.
-///
-/// Like the Kronecker counters, these live *outside* the paper cost
-/// model: they describe what actually ran, not what the model charges.
-#[inline]
-pub(crate) fn record_session_newton_div(recip_iters: u64, corrections: u64) -> bool {
-    AMBIENT.with(|stack| match stack.borrow().last() {
-        Some(active) => {
-            active.counters.record_newton_div(recip_iters, corrections);
-            true
-        }
-        None => false,
-    })
-}
-
-/// Records one executed 2-adic exact division (and its Hensel lifting
-/// steps) into the innermost installed context's sink. Returns false
-/// (and records nothing) if no context is installed.
-#[inline]
-pub(crate) fn record_session_newton_exact_div(hensel_steps: u64) -> bool {
-    AMBIENT.with(|stack| match stack.borrow().last() {
-        Some(active) => {
-            active.counters.record_newton_exact_div(hensel_steps);
-            true
-        }
-        None => false,
-    })
-}
-
-/// Records one fork-join split of a magnitude product — how many halves
-/// were published, how many of those a thief actually executed, and the
-/// operand size in bits — into the innermost installed context's sink.
-/// Returns false (and records nothing) if no context is installed.
-///
-/// Like the Kronecker and Newton counters, these live *outside* the
-/// paper cost model: they describe what actually ran, not what the
-/// model charges.
-#[inline]
-pub(crate) fn record_session_parmul(
-    tasks: u64,
-    steals: u64,
-    operand_bits: u64,
-    work_ns: u64,
-    span_ns: u64,
-) -> bool {
-    AMBIENT.with(|stack| match stack.borrow().last() {
-        Some(active) => {
-            active.counters.record_parmul(tasks, steals, operand_bits, work_ns, span_ns);
-            true
-        }
-        None => false,
-    })
-}
-
-/// Records one physical limb-buffer allocation into the innermost
-/// installed context's sink. Returns false (and records nothing) if no
-/// context is installed.
-///
-/// Like the Kronecker and Newton counters, these live *outside* the
-/// paper cost model: they describe what actually ran, not what the
-/// model charges — and unlike those, they vary with how warm the
-/// thread's scratch arena is.
-#[inline]
-pub(crate) fn record_session_alloc(phase: usize, bytes: u64) -> bool {
-    AMBIENT.with(|stack| match stack.borrow().last() {
-        Some(active) => {
-            active.counters.record_alloc(phase, bytes);
-            true
-        }
-        None => false,
     })
 }
 
@@ -381,18 +240,22 @@ mod tests {
     use crate::Int;
 
     #[test]
-    fn session_events_do_not_reach_global_sink() {
-        let before = metrics::snapshot();
+    fn session_events_do_not_reach_enclosing_context() {
+        let outer = SolveCtx::new(Profile::Paper);
         let ctx = SolveCtx::new(Profile::Paper);
-        ctx.run(|| {
-            metrics::with_phase(Phase::TreePoly, || {
-                let _ = Int::from(12345u64) * Int::from(99999u64);
+        outer.run(|| {
+            ctx.run(|| {
+                metrics::with_phase(Phase::TreePoly, || {
+                    let _ = Int::from(12345u64) * Int::from(99999u64);
+                    metrics::count(&[(metrics::Exec::Allocs, 1)]);
+                })
             })
         });
-        let global = metrics::snapshot() - before;
-        assert_eq!(global.phase(Phase::TreePoly).mul_count, 0);
+        assert_eq!(outer.snapshot(), metrics::CostSnapshot::default());
+        assert_eq!(outer.exec(), ExecSnapshot::default());
         assert_eq!(ctx.snapshot().phase(Phase::TreePoly).mul_count, 1);
         assert_eq!(ctx.snapshot().phase(Phase::TreePoly).mul_bits, 14 * 17);
+        assert_eq!(ctx.exec().phase(Phase::TreePoly, metrics::Exec::Allocs), 1);
     }
 
     #[test]

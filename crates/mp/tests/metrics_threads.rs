@@ -2,16 +2,13 @@
 //!
 //! The counters are per-thread with a phase that is thread-local state,
 //! so concurrent `with_phase` scopes must never cross-attribute events,
-//! and snapshot subtraction must be exact (not approximate) around
-//! multi-threaded work.
-//!
-//! The metrics registry is process-global, and integration-test files
-//! run as their own process but with tests on concurrent threads — so
-//! every test here uses phases disjoint from the other tests in this
-//! file, making each snapshot difference exact per phase.
+//! and a context's totals must be exact (not approximate) around
+//! multi-threaded work. Each test owns its `SolveCtx`, installed in every
+//! thread it spawns, so the totals are exact while the other tests of
+//! this file run concurrently.
 
 use rr_mp::metrics::{self, Phase};
-use rr_mp::Int;
+use rr_mp::{Int, Profile, SolveCtx};
 use std::sync::{Arc, Barrier};
 
 /// Bit cost of one `x * y` at the given operand values.
@@ -30,18 +27,21 @@ fn concurrent_with_phase_scopes_do_not_cross_attribute() {
         (Phase::Sieve, 0xff, 23),
         (Phase::Newton, 0x7, 37),
     ];
-    let before = metrics::snapshot();
+    let ctx = SolveCtx::new(Profile::Paper);
     let barrier = Arc::new(Barrier::new(assignments.len()));
     let handles: Vec<_> = assignments
         .iter()
         .map(|&(phase, value, reps)| {
             let barrier = Arc::clone(&barrier);
+            let ctx = ctx.clone();
             std::thread::spawn(move || {
                 barrier.wait();
-                metrics::with_phase(phase, || {
-                    for _ in 0..reps {
-                        let _ = Int::from(value) * Int::from(value);
-                    }
+                ctx.run(|| {
+                    metrics::with_phase(phase, || {
+                        for _ in 0..reps {
+                            let _ = Int::from(value) * Int::from(value);
+                        }
+                    })
                 });
                 // After the scope the thread is back on its default phase.
                 assert_eq!(metrics::current_phase(), Phase::Other);
@@ -51,7 +51,7 @@ fn concurrent_with_phase_scopes_do_not_cross_attribute() {
     for h in handles {
         h.join().unwrap();
     }
-    let d = metrics::snapshot() - before;
+    let d = ctx.snapshot();
     for &(phase, value, reps) in &assignments {
         assert_eq!(d.phase(phase).mul_count, reps as u64, "{phase:?} count");
         assert_eq!(
@@ -64,10 +64,12 @@ fn concurrent_with_phase_scopes_do_not_cross_attribute() {
 
 #[test]
 fn nested_scopes_on_many_threads_restore_and_attribute() {
-    let before = metrics::snapshot();
+    let ctx = SolveCtx::new(Profile::Paper);
     let handles: Vec<_> = (0..4)
         .map(|_| {
-            std::thread::spawn(|| {
+            let ctx = ctx.clone();
+            std::thread::spawn(move || {
+                let _guard = ctx.install();
                 metrics::with_phase(Phase::PreInterval, || {
                     let _ = Int::from(3u64) * Int::from(3u64);
                     metrics::with_phase(Phase::Sort, || {
@@ -82,7 +84,7 @@ fn nested_scopes_on_many_threads_restore_and_attribute() {
     for h in handles {
         h.join().unwrap();
     }
-    let d = metrics::snapshot() - before;
+    let d = ctx.snapshot();
     assert_eq!(d.phase(Phase::PreInterval).mul_count, 8);
     assert_eq!(d.phase(Phase::Sort).mul_count, 4);
     assert_eq!(d.phase(Phase::PreInterval).mul_bits, 8 * 4);
@@ -92,26 +94,33 @@ fn nested_scopes_on_many_threads_restore_and_attribute() {
 #[test]
 fn snapshot_subtraction_is_exact_across_thread_churn() {
     // Threads that exit after recording must stay visible in later
-    // snapshots (the registry owns the counters), or subtraction around
-    // a region would under-count.
-    let before = metrics::snapshot();
-    std::thread::spawn(|| {
-        metrics::with_phase(Phase::Baseline, || {
-            let _ = Int::from(u64::MAX) * Int::from(u64::MAX);
+    // snapshots (the sink owns the counters), or subtraction around a
+    // region would under-count.
+    let ctx = SolveCtx::new(Profile::Paper);
+    let before = ctx.snapshot();
+    let c = ctx.clone();
+    std::thread::spawn(move || {
+        c.run(|| {
+            metrics::with_phase(Phase::Baseline, || {
+                let _ = Int::from(u64::MAX) * Int::from(u64::MAX);
+            })
         });
     })
     .join()
     .unwrap();
-    let mid = metrics::snapshot();
-    std::thread::spawn(|| {
-        metrics::with_phase(Phase::Baseline, || {
-            let _ = Int::from(u64::MAX) * Int::from(u64::MAX);
-            let _ = Int::from(u64::MAX) / Int::from(3u64);
+    let mid = ctx.snapshot();
+    let c = ctx.clone();
+    std::thread::spawn(move || {
+        c.run(|| {
+            metrics::with_phase(Phase::Baseline, || {
+                let _ = Int::from(u64::MAX) * Int::from(u64::MAX);
+                let _ = Int::from(u64::MAX) / Int::from(3u64);
+            })
         });
     })
     .join()
     .unwrap();
-    let after = metrics::snapshot();
+    let after = ctx.snapshot();
 
     assert_eq!((mid - before).phase(Phase::Baseline).mul_count, 1);
     let d = after - mid;

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use rr_mp::nat::parmul::{self, PAR_MUL_THRESHOLD};
 use rr_mp::nat::kmul;
-use rr_mp::{scratch, Profile, SolveCtx};
+use rr_mp::{scratch, Exec, Profile, SolveCtx};
 
 type Mag = Vec<u64>;
 
@@ -194,11 +194,11 @@ fn pool_scope_products_are_bit_identical_and_stolen() {
     for (i, (slot, want)) in results.iter().zip(&expect).enumerate() {
         assert_eq!(&*slot.lock().unwrap(), want, "product {i}");
     }
-    let s = ctx.parmul_stats();
-    assert_eq!(s.products, sizes.len() as u64);
-    assert!(s.tasks > 0, "large products split: {s:?}");
+    let s = ctx.exec();
+    assert_eq!(s.get(Exec::ParmulProducts), sizes.len() as u64);
+    assert!(s.get(Exec::ParmulTasks) > 0, "large products split: {s:?}");
     assert!(
-        s.steals > 0,
+        s.get(Exec::ParmulSteals) > 0,
         "with 7 idle workers some subtasks run remotely: {s:?}"
     );
 }
@@ -228,8 +228,11 @@ fn single_worker_scope_degrades_to_inline() {
         });
     }
     assert_eq!(&*out.lock().unwrap(), &expect);
-    let s = ctx.parmul_stats();
-    assert_eq!(s.steals, 0, "cap-1 scope never executes subtasks remotely");
+    assert_eq!(
+        ctx.exec().get(Exec::ParmulSteals),
+        0,
+        "cap-1 scope never executes subtasks remotely"
+    );
 }
 
 /// `Fast` dispatch outside any pool scope sees no idle capacity and must
@@ -243,7 +246,7 @@ fn fast_dispatch_without_scope_does_not_split() {
         rr_mp::nat::mul_auto_into(&a, &a, &mut out);
         assert_eq!(out, kmul::mul(&a, &a));
     });
-    assert_eq!(ctx.parmul_stats().products, 0, "no scope, no split");
+    assert_eq!(ctx.exec().get(Exec::ParmulProducts), 0, "no scope, no split");
 }
 
 /// Saturation: many concurrent joining tasks on a small pool must drain
@@ -275,5 +278,5 @@ fn saturated_pool_drains_correctly() {
         });
     }
     assert_eq!(oks.load(std::sync::atomic::Ordering::Relaxed), TASKS);
-    assert_eq!(ctx.parmul_stats().products, TASKS as u64);
+    assert_eq!(ctx.exec().get(Exec::ParmulProducts), TASKS as u64);
 }

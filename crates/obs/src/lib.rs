@@ -59,11 +59,9 @@
 
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod metrics;
 pub mod trace;
 
-pub use alloc::AllocReading;
 pub use trace::{CounterRecord, SpanRecord, Trace, WORKER_TRACK_BASE};
 
 use std::borrow::Cow;

@@ -9,11 +9,11 @@
 //!
 //! ## Design
 //!
-//! * **Per-thread shards, merged on scrape** — the same sharding
-//!   discipline as [`crate::alloc`]. Each `(metric, thread)` pair owns a
-//!   private cache-line of atomics; a record is a thread-local indexed
-//!   lookup plus a handful of `Relaxed` `fetch_add`s, with no shared
-//!   cache line ever contended. Scrapes ([`snapshot`],
+//! * **Per-thread shards, merged on scrape.** Each `(metric, thread)`
+//!   pair owns a private cache-line of atomics; a record is a
+//!   thread-local indexed lookup plus a handful of `Relaxed`
+//!   `fetch_add`s, with no shared cache line ever contended. Scrapes
+//!   ([`snapshot`],
 //!   [`render_prometheus`]) take the registry lock and sum across
 //!   shards; the hot path never takes a lock.
 //! * **Base-2 log buckets.** Histograms bucket by bit length

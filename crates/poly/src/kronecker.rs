@@ -59,12 +59,14 @@
 //! multiplication then goes through `rr_mp::nat` on raw magnitudes,
 //! which records nothing. Predicted-vs-observed figures are therefore
 //! bit-identical across profiles; what actually ran is
-//! visible in [`rr_mp::KroneckerStats`] and in the `"polymul"` span an
+//! visible in the [`Exec::KroneckerMuls`] and [`Exec::PackedBits`]
+//! counters and in the `"polymul"` span an
 //! installed `rr-obs` recorder captures.
 
 use crate::poly::Poly;
 use rr_mp::limb::Limb;
-use rr_mp::{metrics, nat, Int, Sign};
+use rr_mp::metrics::{self, Exec};
+use rr_mp::{nat, Int, Sign};
 use std::cmp::Ordering;
 
 /// Minimum *nonzero* coefficient count of the sparser operand for the
@@ -223,7 +225,7 @@ pub fn mul(a: &Poly, b: &Poly) -> Poly {
     let _span = rr_obs::span("polymul", "kronecker")
         .with_arg("slot_bits", w)
         .with_arg("packed_bits", packed_bits);
-    metrics::record_kron(packed_bits);
+    metrics::count(&[(Exec::KroneckerMuls, 1), (Exec::PackedBits, packed_bits)]);
 
     // All three big temporaries — both packed operands and the packed
     // product — cycle through the thread's scratch arena; only the
@@ -255,7 +257,7 @@ pub fn square(a: &Poly) -> Poly {
     let _span = rr_obs::span("polymul", "kronecker-square")
         .with_arg("slot_bits", w)
         .with_arg("packed_bits", packed_bits);
-    metrics::record_kron(packed_bits);
+    metrics::count(&[(Exec::KroneckerMuls, 1), (Exec::PackedBits, packed_bits)]);
 
     let mut m = rr_mp::scratch::take(
         (w * la as u64).div_ceil(u64::from(Limb::BITS)) as usize + 1,

@@ -9,7 +9,7 @@
 //! both paths and compared exactly.
 
 use proptest::prelude::*;
-use rr_mp::{metrics::Phase, Int, Profile, Sign, SolveCtx};
+use rr_mp::{metrics::Phase, Exec, Int, Profile, Sign, SolveCtx};
 use rr_poly::{kronecker, Poly};
 
 /// A signed integer of up to `max_limbs` 64-bit limbs; zero roughly one
@@ -192,21 +192,21 @@ fn dispatch_respects_crossover_and_counts_execution() {
 
     let ctx = SolveCtx::new(Profile::Fast);
     ctx.run(|| &long * &long.clone());
-    let after_long = ctx.kron_stats();
-    assert!(after_long.kronecker_muls >= 1, "long product should pack");
-    assert!(after_long.packed_bits > 0);
+    let after_long = ctx.exec().get(Exec::KroneckerMuls);
+    assert!(after_long >= 1, "long product should pack");
+    assert!(ctx.exec().get(Exec::PackedBits) > 0);
 
     ctx.run(|| &short * &short.clone());
     assert_eq!(
-        ctx.kron_stats().kronecker_muls,
-        after_long.kronecker_muls,
+        ctx.exec().get(Exec::KroneckerMuls),
+        after_long,
         "below-crossover product must fall back to schoolbook"
     );
 
     // A Paper session never packs, whatever the size.
     let plain = SolveCtx::new(Profile::Paper);
     plain.run(|| &long * &long.clone());
-    assert_eq!(plain.kron_stats().kronecker_muls, 0);
+    assert_eq!(plain.exec().get(Exec::KroneckerMuls), 0);
     // ... and its model counts equal the Fast session's for the same
     // product.
     let kron_ctx = SolveCtx::new(Profile::Fast);

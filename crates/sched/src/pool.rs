@@ -236,11 +236,6 @@ struct ScopeCore {
     steal_retries: AtomicU64,
     /// Empty polls: a worker claimed a drain slot and found no task.
     empty_polls: AtomicU64,
-    /// Limb-buffer allocations that hit the system allocator inside this
-    /// scope's tasks (summed from per-task `rr_obs::alloc` deltas).
-    allocs: AtomicU64,
-    /// Bytes requested by those allocations.
-    alloc_bytes: AtomicU64,
     wrapper: Option<TaskWrapper>,
     trace: Option<TraceBuf>,
     /// (tasks, busy) per pool-worker index.
@@ -279,8 +274,6 @@ impl ScopeCore {
             epoch: Instant::now(),
             steal_retries: AtomicU64::new(0),
             empty_polls: AtomicU64::new(0),
-            allocs: AtomicU64::new(0),
-            alloc_bytes: AtomicU64::new(0),
             wrapper,
             trace: traced.then(|| TraceBuf {
                 records: Mutex::new(Vec::new()),
@@ -705,13 +698,6 @@ pub struct PoolStats {
     /// Tasks dropped without running because the scope was abandoned
     /// (cancelled or poisoned) before they were stolen.
     pub cancelled_tasks: u64,
-    /// Limb-buffer allocations that hit the system allocator inside this
-    /// scope's tasks (per-task `rr_obs::alloc` deltas, summed): the
-    /// scratch arenas' cold misses. Zero for workloads that never touch
-    /// big-int arithmetic.
-    pub allocs: u64,
-    /// Bytes requested by [`PoolStats::allocs`].
-    pub alloc_bytes: u64,
 }
 
 impl PoolStats {
@@ -744,9 +730,6 @@ impl std::fmt::Display for PoolStats {
             self.steal_retries,
             self.empty_polls,
         )?;
-        if self.allocs > 0 {
-            write!(f, ", {} allocs ({} B)", self.allocs, self.alloc_bytes)?;
-        }
         if self.panicked_tasks > 0 {
             write!(f, ", {} panicked", self.panicked_tasks)?;
         }
@@ -978,8 +961,6 @@ impl Pool {
             empty_polls: core.empty_polls.load(Ordering::Relaxed),
             panicked_tasks: core.panicked_tasks.load(Ordering::Relaxed),
             cancelled_tasks: core.dropped_tasks.load(Ordering::Relaxed),
-            allocs: core.allocs.load(Ordering::Relaxed),
-            alloc_bytes: core.alloc_bytes.load(Ordering::Relaxed),
         };
         // Panic outranks cancellation: a poisoned scope is reported as
         // such even if a deadline also fired while it drained.
@@ -1119,7 +1100,6 @@ fn drain_scope(core: &Arc<ScopeCore>, worker_idx: usize) -> bool {
                 }
                 let scope: Scope<'static> = Scope::handle(Arc::clone(core));
                 let prev = CURRENT_TASK.with(|c| c.replace(Some(id)));
-                let alloc0 = rr_obs::alloc::reading();
                 let t0 = Instant::now();
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let mut f = Some(f);
@@ -1130,11 +1110,6 @@ fn drain_scope(core: &Arc<ScopeCore>, worker_idx: usize) -> bool {
                     }
                 }));
                 let elapsed = t0.elapsed();
-                let alloc_delta = rr_obs::alloc::reading() - alloc0;
-                if alloc_delta.allocs > 0 {
-                    core.allocs.fetch_add(alloc_delta.allocs, Ordering::Relaxed);
-                    core.alloc_bytes.fetch_add(alloc_delta.bytes, Ordering::Relaxed);
-                }
                 CURRENT_TASK.with(|c| c.set(prev));
                 if let Some(trace) = &core.trace {
                     trace.records.lock().push(TaskRecord {
@@ -1630,26 +1605,6 @@ mod tests {
         let mut ids = seen.lock().clone();
         ids.sort_unstable();
         assert_eq!(ids, (1..9).collect::<Vec<u64>>()); // seed took id 0
-    }
-
-    #[test]
-    fn task_alloc_deltas_attributed_to_scope() {
-        let pool = Pool::new(2);
-        let (stats, _) = pool.scope(ScopeConfig::default(), |s: &Scope<'_>| {
-            for _ in 0..4 {
-                s.spawn(|_| rr_obs::alloc::record(64));
-            }
-        });
-        assert_eq!(stats.allocs, 4);
-        assert_eq!(stats.alloc_bytes, 256);
-        let shown = stats.to_string();
-        assert!(shown.contains("4 allocs (256 B)"), "{shown}");
-        // A scope that allocates nothing reports (and displays) nothing.
-        let (quiet, _) = pool.scope(ScopeConfig::default(), |s: &Scope<'_>| {
-            s.spawn(|_| {});
-        });
-        assert_eq!(quiet.allocs, 0);
-        assert!(!quiet.to_string().contains("allocs"), "{quiet}");
     }
 
     #[test]

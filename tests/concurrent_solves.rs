@@ -10,6 +10,7 @@
 //! test harness's thread count unpinned.
 
 use polyroots::core::{Profile, RootsResult, Runtime, Session};
+use polyroots::mp::Exec;
 use polyroots::workload::charpoly_input;
 use polyroots::{solve_batch_on, Poly, SolverConfig};
 use std::sync::Barrier;
@@ -26,11 +27,25 @@ fn assert_same_solve(got: &RootsResult, want: &RootsResult, what: &str) {
     assert_eq!(got.stats.cost, want.stats.cost, "{what}: per-solve cost");
 }
 
+/// The execution counters a solve repeats exactly: Kronecker products
+/// and the division kernels are dispatched on operand sizes alone (the
+/// fork-join and allocation counters depend on scheduling and arena
+/// warmth, so they are left out).
+fn deterministic_exec(r: &RootsResult) -> Vec<(Exec, u64)> {
+    [Exec::KroneckerMuls, Exec::PackedBits]
+        .into_iter()
+        .chain(Exec::DIVISION)
+        .map(|e| (e, r.stats.exec.get(e)))
+        .collect()
+}
+
 /// Regression test for the kernel-selection race: one `Paper` and one
 /// `Fast` solve running *concurrently* on the shared runtime must both
-/// produce exactly what they produce in isolation — same roots and same
-/// per-session per-phase counts. A process-wide selection would let the
-/// loser of a race run (part of) its solve on the other's kernels.
+/// produce exactly what they produce in isolation — same roots, same
+/// per-session per-phase counts, and, for the `Fast` solve, the same
+/// deterministic execution counters. A process-wide selection would let
+/// the loser of a race run (part of) its solve on the other's kernels,
+/// and a shared sink would cross-attribute its kernel counters.
 #[test]
 fn concurrent_backend_solves_match_isolated_runs() {
     let rt = Runtime::new(4);
@@ -61,6 +76,11 @@ fn concurrent_backend_solves_match_isolated_runs() {
         });
         assert_same_solve(&school, &school_alone, &format!("rep {rep}: paper"));
         assert_same_solve(&fast, &fast_alone, &format!("rep {rep}: fast"));
+        assert_eq!(
+            deterministic_exec(&fast),
+            deterministic_exec(&fast_alone),
+            "rep {rep}: fast execution counters"
+        );
     }
 }
 

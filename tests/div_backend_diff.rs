@@ -6,15 +6,20 @@
 //! shared `ExactDivisor` inverse caches, and any remaining truncating
 //! divisions take the Newton reciprocal. The mathematics and the recorded
 //! cost model must be bit-identical to `Profile::Paper`; only wall-clock
-//! and the physical `NewtonDivStats` counters may differ.
+//! and the physical division counters (`Exec::DIVISION`) may differ.
 
 use polyroots::core::{ExecMode, Profile, RootsResult, Session};
-use polyroots::mp::NewtonDivStats;
+use polyroots::mp::Exec;
 use polyroots::workload::charpoly_input;
 use polyroots::SolverConfig;
 
 fn solve(cfg: SolverConfig, p: &polyroots::Poly) -> RootsResult {
     Session::new(cfg).solve(p).unwrap()
+}
+
+/// The solve's five division execution counters.
+fn division(r: &RootsResult) -> [u64; 5] {
+    Exec::DIVISION.map(|e| r.stats.exec.get(e))
 }
 
 #[test]
@@ -41,13 +46,14 @@ fn div_backends_differ_only_in_wall_clock() {
         // routes its exact divisions (the remainder sequence's and tree
         // stage's — the pipeline's only divisions) through the 2-adic
         // kernel from n ≈ 10 onward.
-        assert_eq!(paper.stats.newton_div, NewtonDivStats::default(), "{cell}");
-        let nd = fast.stats.newton_div;
-        assert!(nd.exact_divs > 0, "2-adic kernel dispatched at {cell}: {nd:?}");
+        assert_eq!(division(&paper), [0; 5], "{cell}");
+        let nd = fast.stats.exec;
+        let exact_divs = nd.get(Exec::ExactDivs);
+        assert!(exact_divs > 0, "2-adic kernel dispatched at {cell}: {nd:?}");
         // Amortization: the shared `ExactDivisor`s lift far fewer
         // inverses than they serve divisions.
         assert!(
-            nd.hensel_steps < nd.exact_divs,
+            nd.get(Exec::HenselSteps) < exact_divs,
             "inverse cache amortizes at {cell}: {nd:?}"
         );
     }
@@ -94,11 +100,11 @@ fn parallel_solves_are_div_backend_invariant() {
     assert_eq!(paper.roots, fast.roots);
     assert_eq!(paper.n_star, fast.n_star);
     assert_eq!(paper.stats.cost, fast.stats.cost, "parallel cost invariant");
-    assert_eq!(paper.stats.newton_div, NewtonDivStats::default());
+    assert_eq!(division(&paper), [0; 5]);
     assert!(
-        fast.stats.newton_div.exact_divs > 0,
+        fast.stats.exec.get(Exec::ExactDivs) > 0,
         "worker-side divisions reached the 2-adic kernel: {:?}",
-        fast.stats.newton_div
+        division(&fast)
     );
 
     // And determinism under the fast profile: a second identical solve
@@ -108,7 +114,8 @@ fn parallel_solves_are_div_backend_invariant() {
     assert_eq!(fast.roots, fast2.roots);
     assert_eq!(fast.stats.cost, fast2.stats.cost);
     assert_eq!(
-        fast.stats.newton_div, fast2.stats.newton_div,
+        division(&fast),
+        division(&fast2),
         "dispatch decisions are size-driven, hence deterministic"
     );
 }

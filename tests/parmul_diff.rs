@@ -4,14 +4,14 @@
 //! task with idle workers is split into subtasks on the solve's own pool
 //! scope. It is a pure execution optimization: roots, `n_star`, and the
 //! recorded paper cost model must be bit-identical to `Profile::Paper` —
-//! only wall-clock and the execution counters (`SolveStats::parmul`) may
+//! only wall-clock and the `parmul_*` execution counters may
 //! differ. (The mp-layer twin, `crates/mp/tests/parmul_diff.rs`, drives
 //! the kernels directly under real pool scopes, forced splitting
 //! included; this file asserts the same invariants through whole
 //! solves.)
 
 use polyroots::core::{Profile, RootsResult, Session};
-use polyroots::mp::ParMulStats;
+use polyroots::mp::Exec;
 use polyroots::workload::charpoly_input;
 use polyroots::SolverConfig;
 
@@ -36,11 +36,19 @@ fn engaged_parallel_solve_stays_exact() {
         "cost model is replayed, not bypassed"
     );
 
-    assert_eq!(paper.stats.parmul, ParMulStats::default(), "paper never splits");
-    let s = &fast.stats.parmul;
-    assert!(s.products > 0, "n=48 on 4 workers engages the splitter: {s:?}");
-    assert!(s.tasks >= s.products, "every split product forks at least once: {s:?}");
-    assert!(s.work_ns >= s.span_ns, "work dominates the critical path: {s:?}");
+    let parmul = [
+        Exec::ParmulProducts,
+        Exec::ParmulTasks,
+        Exec::ParmulSteals,
+        Exec::ParmulOperandBits,
+        Exec::ParmulWorkNs,
+        Exec::ParmulSpanNs,
+    ];
+    assert_eq!(parmul.map(|e| paper.stats.exec.get(e)), [0; 6], "paper never splits");
+    let [products, tasks, _, _, work_ns, span_ns] = parmul.map(|e| fast.stats.exec.get(e));
+    assert!(products > 0, "n=48 on 4 workers engages the splitter");
+    assert!(tasks >= products, "every split product forks at least once: {tasks} < {products}");
+    assert!(work_ns >= span_ns, "work dominates the critical path: {work_ns} < {span_ns}");
     // No steal assertion: whether another worker claims a subtask
     // depends on host scheduling (single-core CI rarely steals).
 }

@@ -7,13 +7,13 @@
 //! and fork-join splitting of large products on the solve's own pool
 //! scope. The mathematics and the recorded cost model must be
 //! bit-identical to `Profile::Paper`; only wall-clock and the physical
-//! execution counters (`SolveStats::{newton_div, parmul, alloc}`) may
-//! differ. This file holds the checks that span every kernel family;
-//! the per-family whole-solve differentials are `backend_diff`
-//! (products), `div_backend_diff` (divisions) and `parmul_diff`
-//! (fork-join). Kernel-level equivalence is held separately by the
-//! `kernel_diff`, `div_diff`, `polymul_diff`, `parmul_diff` and
-//! `inplace_diff` suites, which call the kernels directly.
+//! execution counters (`SolveStats::exec`) may differ. This file holds
+//! the checks that span every kernel family; the per-family whole-solve
+//! differentials are `backend_diff` (products), `div_backend_diff`
+//! (divisions) and `parmul_diff` (fork-join). Kernel-level equivalence
+//! is held separately by the `kernel_diff`, `div_diff`, `polymul_diff`,
+//! `parmul_diff` and `inplace_diff` suites, which call the kernels
+//! directly.
 //!
 //! Solves run under the session API, so every solve owns its metrics:
 //! `stats.cost` *is* the exact per-phase event count of that solve,
@@ -21,7 +21,8 @@
 //! concurrently.
 
 use polyroots::core::{ExecMode, Profile, RootsResult, Session};
-use polyroots::mp::metrics::Phase;
+use polyroots::mp::metrics::{CostSnapshot, Phase};
+use polyroots::mp::{Exec, ExecSnapshot, SolveCtx};
 use polyroots::workload::charpoly_input;
 use polyroots::{Poly, SolverConfig};
 
@@ -60,7 +61,8 @@ fn single_worker_pool_inlines_all_splits() {
     let fast = solve(cfg.with_profile(Profile::Fast), &p);
     assert_same_solve(&paper, &fast, "one-worker pool");
     assert_eq!(
-        fast.stats.parmul.steals, 0,
+        fast.stats.exec.get(Exec::ParmulSteals),
+        0,
         "one worker has nobody to steal from"
     );
 }
@@ -75,39 +77,50 @@ fn warm_remainder_phase_allocates_nothing() {
     let cfg = SolverConfig::sequential(8).with_profile(Profile::Paper);
     let cold = solve(cfg, &p);
     assert!(
-        cold.stats.alloc.phase(Phase::RemainderSeq).allocs > 0,
+        cold.stats.exec.phase(Phase::RemainderSeq, Exec::Allocs) > 0,
         "the remainder step routes temporaries through scratch"
     );
     let warm = solve(cfg, &p);
     assert_eq!(
-        warm.stats.alloc.phase(Phase::RemainderSeq).allocs,
+        warm.stats.exec.phase(Phase::RemainderSeq, Exec::Allocs),
         0,
         "warm remainder phase allocated"
     );
 }
 
-/// Solves never leak events into the process-global default sink — the
-/// whole point of session-scoped metrics.
+/// Solves never leak events into a context installed by their caller —
+/// the only other place an event could land — and their own stats hold
+/// every event: the same solve run from a bare thread records the same
+/// cost and the same deterministic execution counters.
 #[test]
-fn solves_do_not_pollute_global_metrics() {
-    use polyroots::mp::metrics;
-    let before = metrics::snapshot();
+fn solves_do_not_pollute_enclosing_context() {
     let p = charpoly_input(14, 3);
     for profile in Profile::ALL {
-        let _ = solve(SolverConfig::parallel(24, 3).with_profile(profile), &p);
-    }
-    let d = metrics::snapshot() - before;
-    for phase in [
-        Phase::RemainderSeq,
-        Phase::TreePoly,
-        Phase::Sieve,
-        Phase::Bisection,
-        Phase::Newton,
-    ] {
+        let cfg = SolverConfig::parallel(24, 3).with_profile(profile);
+        let alone = solve(cfg, &p);
+        let outer = SolveCtx::new(Profile::Paper);
+        let nested = outer.run(|| solve(cfg, &p));
         assert_eq!(
-            d.phase(phase).mul_count,
-            0,
-            "{phase:?} leaked to global sink"
+            outer.snapshot(),
+            CostSnapshot::default(),
+            "{profile} leaked cost"
         );
+        assert_eq!(
+            outer.exec(),
+            ExecSnapshot::default(),
+            "{profile} leaked exec"
+        );
+        assert_same_solve(&nested, &alone, &format!("{profile}: nested vs alone"));
+        assert!(nested.stats.cost.total().mul_count > 0);
+        for label in [Exec::KroneckerMuls, Exec::PackedBits]
+            .into_iter()
+            .chain(Exec::DIVISION)
+        {
+            assert_eq!(
+                nested.stats.exec.get(label),
+                alone.stats.exec.get(label),
+                "{profile} {label:?}"
+            );
+        }
     }
 }

@@ -18,6 +18,7 @@
 //! | `fig8_baseline`       | Figure 8 (comparison with the PARI stand-in) |
 //! | `table1_complexity`   | Table 1 (asymptotic growth-order fits) |
 //! | `speedup_report`      | Figures 9–13 speedup tables re-derived from timed traces → `results/speedup_observed.json` |
+//! | `kernel_ablation`     | not a paper artifact: `paper` vs `fast` kernel profiles per size, region and worker count, plus the kernel crossover sweeps → `results/BENCH_kernels.json` |
 //! | `metrics_dump`        | not a paper artifact: runs a solve batch, then prints the always-on registry (percentile tables, Prometheus text) → `results/BENCH_metrics.json` |
 //! | `loadgen`             | not a paper artifact: closed-loop / overload / fault-seeded load against a spawned `rr-serve` daemon → `results/BENCH_serve.json` |
 //!

@@ -5,7 +5,7 @@
 //! {
 //!   "schema_version": 1,
 //!   "commit": "239b444",
-//!   "config": { "bin": "div_ablation", "max_n": 96, ... },
+//!   "config": { "bin": "kernel_ablation", "max_n": 96, ... },
 //!   "series": [ { ...one row per measurement cell... } ]
 //! }
 //! ```

@@ -208,8 +208,8 @@ pub enum Exec {
     /// `T₁`, ns).
     ParmulWorkNs,
     /// Critical-path time of the split products (Cilk-style span `T_∞`,
-    /// ns); `parmul_ablation` Brent-bounds its simulated speedups from
-    /// work and span (DESIGN.md §16).
+    /// ns); `kernel_ablation` Brent-bounds its simulated speedups from
+    /// work and span (DESIGN.md §17).
     ParmulSpanNs,
     /// Limb-buffer acquisitions that hit the system allocator (scratch
     /// arena cold misses).

@@ -73,7 +73,7 @@ use std::cmp::Ordering;
 /// the Newton path beats Algorithm D. Below it the reciprocal's fixed
 /// multiplication count loses to the tight schoolbook loop.
 ///
-/// Calibrated with `cargo run --release -p rr-bench --bin div_ablation
+/// Calibrated with `cargo run --release -p rr-bench --bin kernel_ablation
 /// -- --sweep` (see EXPERIMENTS.md "Newton division crossover"); the
 /// crossover sits lower when the `Fast` multiplication kernel is
 /// active, so this threshold is chosen for the paired configuration.
@@ -225,7 +225,7 @@ fn recip(v: &[Limb], t: u64, p: u64, iters: &mut u64) -> Vec<Limb> {
 /// Algorithm D (its cost depends only on the quotient length, so the
 /// divisor-side gate is much laxer than [`NEWTON_DIV_THRESHOLD`]).
 ///
-/// Calibrated with `div_ablation --sweep` (EXPERIMENTS.md).
+/// Calibrated with `kernel_ablation --sweep` (EXPERIMENTS.md).
 pub const NEWTON_EXACT_THRESHOLD: usize = 16;
 
 /// Truncates/zero-pads `v` to exactly `n` limbs (fixed-width word of the

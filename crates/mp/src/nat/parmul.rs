@@ -71,7 +71,7 @@ use std::time::Instant;
 /// sub-microsecond publish/retract cost of a join subtask — and the
 /// remainder-phase products this layer targets (10⁴–10⁵ bits at
 /// n ≥ 64) sit well above the engage floor and split several levels
-/// deep. Calibrated with `parmul_ablation --sweep` (see
+/// deep. Calibrated with `kernel_ablation --sweep` (see
 /// EXPERIMENTS.md): 32 is the lowest setting whose single-worker
 /// overhead stays within noise of the serial kernel at every measured
 /// degree; lower settings (16) buy ~10 more points of remainder-phase
@@ -207,7 +207,7 @@ pub fn mul_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>) {
 }
 
 /// [`mul_into`] with an explicit split threshold `t` (clamped to ≥ 2) —
-/// the calibration entry point `parmul_ablation --sweep` drives, the way
+/// the calibration entry point `kernel_ablation --sweep` drives, the way
 /// [`super::newton_div::div_rem_with_threshold`] exposes its crossover.
 pub fn mul_with_threshold_into(a: &[Limb], b: &[Limb], t: usize, out: &mut Vec<Limb>) {
     let (a, b) = (trimmed(a), trimmed(b));

@@ -75,7 +75,7 @@ use std::cmp::Ordering;
 /// skips zero coefficients, so sparse operands (the remainder stage's
 /// monomial quotients, say) do far less work than their dense degree
 /// suggests, and the gate must count the same way. Calibrated with
-/// `cargo run --release -p rr-bench --bin polymul_ablation -- --sweep`
+/// `cargo run --release -p rr-bench --bin kernel_ablation -- --sweep`
 /// (see EXPERIMENTS.md "Kronecker crossover").
 pub const KRONECKER_MIN_LEN: usize = 8;
 

@@ -13,10 +13,15 @@
 //! two solves on the same pool interleave tasks on the same workers
 //! without sharing ids, counters, or traces.
 //!
-//! Worker parking uses a condvar with a short timeout while any scope is
-//! open, so the rare missed-wakeup race costs at most one timeout period
-//! rather than a deadlock; with no scopes open the workers park
-//! indefinitely (a fully idle pool burns no CPU).
+//! Worker parking uses one condvar, notified only when a scope registers
+//! and when the pool shuts down. Publishing work into an open scope —
+//! [`Scope::spawn_boxed`] enqueueing a task, `join_on` publishing the
+//! right half of a split — does not notify it, so a parked worker finds
+//! that work only when its 200 µs timed wait runs out (or a scope
+//! registration wakes it). Until then the submitter keeps running: a
+//! join half nobody claimed in time is retracted and run inline. With no
+//! scopes open the workers park indefinitely (a fully idle pool burns no
+//! CPU).
 //!
 //! The one-shot entry points [`run`] / [`run_traced`] remain for code
 //! that wants the historical pool-per-run behavior (a dedicated pool is
@@ -532,18 +537,22 @@ fn execute_stub(core: &ScopeCore, stub: &JoinStub) {
 /// makes progress by assumption (a claimed stub is actively running),
 /// so this terminates; helping keeps the waiter productive when many
 /// joins are in flight.
+///
+/// Completion is only trusted under `done_lock`. The stub lives on the
+/// submitting frame's stack, and the thief still notifies and unlocks
+/// through it after setting `done`; seeing `done` while holding the lock
+/// proves the thief has left its critical section and will not touch the
+/// stub again, so the frame may return and free it.
 fn wait_stub(core: &ScopeCore, stub: &JoinStub) {
     loop {
-        if stub.done.load(Ordering::SeqCst) {
-            return;
-        }
-        if try_execute_join(core) {
+        if !stub.done.load(Ordering::SeqCst) && try_execute_join(core) {
             continue;
         }
         let mut g = stub.done_lock.lock();
-        if !stub.done.load(Ordering::SeqCst) {
-            stub.done_cv.wait_for(&mut g, Duration::from_micros(50));
+        if stub.done.load(Ordering::SeqCst) {
+            return;
         }
+        stub.done_cv.wait_for(&mut g, Duration::from_micros(50));
     }
 }
 
@@ -634,8 +643,8 @@ fn join_on(core: &ScopeCore, a: impl FnOnce() + Send, b: impl FnOnce() + Send) -
     // SAFETY: erases the closure's borrow lifetime for storage in the
     // stub. The stub (and the frames it borrows from) outlives every
     // access: this function blocks until the closure has run — inline
-    // after retraction, or by a thief before `done` — and the panic
-    // guard enforces the same on unwind.
+    // after retraction, or by a thief that has then released the stub
+    // (`wait_stub`) — and the panic guard enforces the same on unwind.
     let b: Box<dyn FnOnce() + Send> = unsafe {
         std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(
             Box::new(b),

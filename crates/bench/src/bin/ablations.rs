@@ -56,14 +56,9 @@ fn main() {
     {
         let rs = rr_poly::remainder::remainder_sequence(&p).unwrap();
         let b = rr_poly::bounds::root_bound_bits(&p);
-        let (_roots, st) = rr_core::static_solver::solve_static(
-            &rs,
-            mu,
-            b,
-            RefineStrategy::Hybrid,
-            2,
-        )
-        .unwrap();
+        let (_roots, st) =
+            rr_core::rounds::solve_rounds(&rs, mu, b, RefineStrategy::Hybrid, Some(2)).unwrap();
+        let st = st.expect("dealt rounds report their statistics");
         let longest: f64 = st.round_walls.iter().map(|d| d.as_secs_f64()).sum();
         println!(
             "  static scheduling             | {} barrier-separated rounds, Σ round walls = {:.4}s",

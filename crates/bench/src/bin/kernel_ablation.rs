@@ -193,8 +193,8 @@ impl ToJson for Row {
 }
 
 /// The COMPUTEPOLY phase in isolation: every non-spine tree matrix,
-/// bottom-up (exactly the matrices `seq_solver` computes, without the
-/// interval stage's evaluations diluting the timing).
+/// bottom-up (exactly the matrices the tree stage's node jobs compute,
+/// without the interval stage's evaluations diluting the timing).
 fn all_tmats(tree: &Tree, rs: &RemainderSeq, idx: usize) -> Option<Mat2> {
     let node = tree.node(idx);
     let spine = is_spine(node, tree.n);

@@ -147,8 +147,54 @@ impl NodeIntervals {
     }
 }
 
-/// Solves all of a node's interval problems sequentially (the parallel
-/// drivers schedule [`NodeIntervals::preinterval_sign`] and
+/// A node's interval stage once the degenerate cases are settled.
+pub(crate) enum NodePrep {
+    /// Nothing left to solve: these are the node's roots.
+    Done(Vec<Int>),
+    /// `d` interval problems over the `d + 1` sorted points
+    /// `ỹ_0 = −2^R, ỹ_1, …, ỹ_{d−1}, ỹ_d = 2^R` (scaled by `2^µ`).
+    Gaps(NodeIntervals, Vec<Int>),
+}
+
+/// Sets up a node's interval problems, settling the degenerate cases
+/// on the way (arguments and cases as for [`solve_node_intervals`]).
+pub(crate) fn prepare_node(
+    poly: &Poly,
+    merged: Vec<Int>,
+    mu: u64,
+    bound_bits: u64,
+    strategy: RefineStrategy,
+) -> Result<NodePrep, Inconsistency> {
+    let Some(d) = poly.degree() else {
+        return Err(Inconsistency { what: "zero node polynomial".into() });
+    };
+    if d == 0 {
+        if merged.is_empty() {
+            return Ok(NodePrep::Done(Vec::new()));
+        }
+        return Err(Inconsistency {
+            what: "constant node polynomial with child roots".into(),
+        });
+    }
+    if merged.len() == d {
+        // Theorem 2 degenerate split: P_{i,k−1} = P_{i,j}; the parent's
+        // roots are exactly the child's.
+        return Ok(NodePrep::Done(merged));
+    }
+    if merged.len() + 1 != d {
+        return Err(Inconsistency {
+            what: format!("degree {d} with {} interleaving points", merged.len()),
+        });
+    }
+    let mut points = Vec::with_capacity(d + 1);
+    points.push(-Int::pow2(bound_bits + mu));
+    points.extend(merged);
+    points.push(Int::pow2(bound_bits + mu));
+    Ok(NodePrep::Gaps(NodeIntervals::new(poly, mu, strategy), points))
+}
+
+/// Solves all of a node's interval problems sequentially (the dynamic
+/// task graph schedules [`NodeIntervals::preinterval_sign`] and
 /// [`NodeIntervals::solve_gap`] as individual tasks instead).
 ///
 /// * `poly` — the node polynomial.
@@ -161,45 +207,19 @@ impl NodeIntervals {
 /// `deg P` entries the node's roots *are* the child roots.
 pub fn solve_node_intervals(
     poly: &Poly,
-    merged: &[Int],
+    merged: Vec<Int>,
     mu: u64,
     bound_bits: u64,
     strategy: RefineStrategy,
 ) -> Result<Vec<Int>, Inconsistency> {
-    let Some(d) = poly.degree() else {
-        return Err(Inconsistency { what: "zero node polynomial".into() });
+    let (ctx, points) = match prepare_node(poly, merged, mu, bound_bits, strategy)? {
+        NodePrep::Done(roots) => return Ok(roots),
+        NodePrep::Gaps(ctx, points) => (ctx, points),
     };
-    if d == 0 {
-        if merged.is_empty() {
-            return Ok(Vec::new());
-        }
-        return Err(Inconsistency {
-            what: "constant node polynomial with child roots".into(),
-        });
-    }
-    if merged.len() == d {
-        // Theorem 2 degenerate split: P_{i,k−1} = P_{i,j}; the parent's
-        // roots are exactly the child's.
-        return Ok(merged.to_vec());
-    }
-    if merged.len() + 1 != d {
-        return Err(Inconsistency {
-            what: format!("degree {d} with {} interleaving points", merged.len()),
-        });
-    }
-    let ctx = NodeIntervals::new(poly, mu, strategy);
-    let lo_bound = -Int::pow2(bound_bits + mu);
-    let hi_bound = Int::pow2(bound_bits + mu);
-    let mut points = Vec::with_capacity(d + 1);
-    points.push(lo_bound);
-    points.extend(merged.iter().cloned());
-    points.push(hi_bound);
     let signs: Vec<i32> = points.iter().map(|y| ctx.preinterval_sign(y)).collect();
-    let mut roots = Vec::with_capacity(d);
-    for t in 0..d {
-        roots.push(ctx.solve_gap(t, &points[t], signs[t], &points[t + 1])?);
-    }
-    Ok(roots)
+    (0..points.len() - 1)
+        .map(|t| ctx.solve_gap(t, &points[t], signs[t], &points[t + 1]))
+        .collect()
 }
 
 #[cfg(test)]
@@ -216,7 +236,7 @@ mod tests {
         let p = Poly::from_roots(&[Int::from(2), Int::from(4), Int::from(6)]);
         let mu = 8;
         let merged = vec![scaled(3, mu), scaled(5, mu)];
-        let roots = solve_node_intervals(&p, &merged, mu, 4, RefineStrategy::Hybrid).unwrap();
+        let roots = solve_node_intervals(&p, merged, mu, 4, RefineStrategy::Hybrid).unwrap();
         assert_eq!(roots, vec![scaled(2, mu), scaled(4, mu), scaled(6, mu)]);
     }
 
@@ -233,7 +253,7 @@ mod tests {
         // (non-strict interleaving). Gap 0 = (-B, 3]: root 1; gap 1 =
         // (3, B]: root 3 — via the s_lo == 0 path x̃_1 = 3.
         let merged = vec![scaled(3, mu)];
-        let roots = solve_node_intervals(&p, &merged, mu, 3, RefineStrategy::Hybrid).unwrap();
+        let roots = solve_node_intervals(&p, merged, mu, 3, RefineStrategy::Hybrid).unwrap();
         assert_eq!(roots, vec![scaled(1, mu), scaled(3, mu)]);
     }
 
@@ -243,7 +263,7 @@ mod tests {
         let p = Poly::from_i64(&[-2, 0, 1]);
         let mu = 10;
         let merged = vec![scaled(0, mu)];
-        let roots = solve_node_intervals(&p, &merged, mu, 2, RefineStrategy::Hybrid).unwrap();
+        let roots = solve_node_intervals(&p, merged, mu, 2, RefineStrategy::Hybrid).unwrap();
         let lo = roots[0].to_f64() / (mu as f64).exp2();
         let hi = roots[1].to_f64() / (mu as f64).exp2();
         let ulp = 1.0 / (mu as f64).exp2();
@@ -262,7 +282,7 @@ mod tests {
         let mu = 1;
         // true interleaving y ∈ [0.3, 0.4]: take y = 0.35 → scaled ceil = 1
         let merged = vec![Int::from(1)];
-        let roots = solve_node_intervals(&p, &merged, mu, 2, RefineStrategy::Hybrid).unwrap();
+        let roots = solve_node_intervals(&p, merged, mu, 2, RefineStrategy::Hybrid).unwrap();
         // both roots ceil to 1/2 at µ=1
         assert_eq!(roots, vec![Int::from(1), Int::from(1)]);
     }
@@ -281,7 +301,7 @@ mod tests {
         let p = Poly::from_i64(&[5, -5, -1, 1]);
         let mu = 2;
         let merged = vec![Int::from(0), Int::from(9)];
-        let roots = solve_node_intervals(&p, &merged, mu, 3, RefineStrategy::Hybrid).unwrap();
+        let roots = solve_node_intervals(&p, merged, mu, 3, RefineStrategy::Hybrid).unwrap();
         assert_eq!(roots, vec![Int::from(-8), Int::from(4), Int::from(9)]);
     }
 
@@ -289,7 +309,7 @@ mod tests {
     fn copy_case_for_repeated_roots() {
         let p = Poly::from_roots(&[Int::from(1), Int::from(2)]);
         let merged = vec![scaled(1, 4), scaled(2, 4)];
-        let roots = solve_node_intervals(&p, &merged, 4, 3, RefineStrategy::Hybrid).unwrap();
+        let roots = solve_node_intervals(&p, merged.clone(), 4, 3, RefineStrategy::Hybrid).unwrap();
         assert_eq!(roots, merged);
     }
 
@@ -297,7 +317,7 @@ mod tests {
     fn constant_poly_no_roots() {
         let p = Poly::from_i64(&[7]);
         assert_eq!(
-            solve_node_intervals(&p, &[], 4, 3, RefineStrategy::Hybrid).unwrap(),
+            solve_node_intervals(&p, Vec::new(), 4, 3, RefineStrategy::Hybrid).unwrap(),
             Vec::<Int>::new()
         );
     }
@@ -305,7 +325,7 @@ mod tests {
     #[test]
     fn count_mismatch_is_inconsistency() {
         let p = Poly::from_roots(&[Int::from(1), Int::from(2), Int::from(3)]);
-        let r = solve_node_intervals(&p, &[], 4, 3, RefineStrategy::Hybrid);
+        let r = solve_node_intervals(&p, Vec::new(), 4, 3, RefineStrategy::Hybrid);
         assert!(r.is_err());
     }
 
@@ -315,7 +335,7 @@ mod tests {
         // at the lower bound cannot be consistent for all gaps; the solver
         // must return an error rather than loop.
         let p = Poly::from_i64(&[1, 0, 1]);
-        let r = solve_node_intervals(&p, &[scaled(0, 4)], 4, 2, RefineStrategy::Hybrid);
+        let r = solve_node_intervals(&p, vec![scaled(0, 4)], 4, 2, RefineStrategy::Hybrid);
         // Gap 0 at t=0: parity says r=0 (sign at -B is +, sign_neg_inf +,
         // t even: matches → r = 0 → looks for a sign change that never
         // comes: s_b == s_lo → case 2b → returns ỹ_1 = 0. Gap 1: s_lo at

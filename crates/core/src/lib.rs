@@ -32,10 +32,13 @@
 //!
 //! ## Drivers
 //!
-//! * [`seq_solver`] — sequential reference.
+//! * [`rounds`] — one node job per tree node, run level by level,
+//!   deepest first: inline on the calling thread (the sequential
+//!   reference), or dealt to barrier-separated worker rounds (the
+//!   static-scheduling ablation of footnote 3).
 //! * [`par_solver`] — the paper's dynamic task-queue execution
-//!   ([`rr_sched`]), `P` configurable.
-//! * [`static_solver`] — the static-scheduling ablation (footnote 3).
+//!   ([`rr_sched`]), `P` configurable: the same node steps split into
+//!   finer tasks.
 //!
 //! The public entry point is [`RootApproximator`].
 //!
@@ -74,10 +77,9 @@ pub mod par_solver;
 pub mod refine;
 pub mod rem_stage;
 pub mod report;
-pub mod seq_solver;
+pub mod rounds;
 pub mod session;
 pub mod solver;
-pub mod static_solver;
 pub mod tree;
 pub mod treepoly;
 

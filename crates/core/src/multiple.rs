@@ -9,7 +9,7 @@
 //! yields the full multiplicity profile.
 
 use crate::refine::RefineStrategy;
-use crate::seq_solver::solve_sequential;
+use crate::rounds::solve_rounds;
 use rr_mp::Int;
 use rr_poly::bounds::root_bound_bits;
 use rr_poly::remainder::{remainder_sequence, SeqError};
@@ -46,12 +46,12 @@ pub fn roots_with_multiplicity(
 ) -> Result<Vec<(Int, usize)>, MultiplicityError> {
     let rs = remainder_sequence(p)?;
     let roots = if rs.squarefree() {
-        solve_sequential(&rs, mu, root_bound_bits(p), strategy)?
+        solve_rounds(&rs, mu, root_bound_bits(p), strategy, None)?.0
     } else {
         // Run the tree on the squarefree part (same distinct roots).
         let p_star = rs.squarefree_input();
         let rs_star = remainder_sequence(&p_star)?;
-        solve_sequential(&rs_star, mu, root_bound_bits(&p_star), strategy)?
+        solve_rounds(&rs_star, mu, root_bound_bits(&p_star), strategy, None)?.0
     };
     let mut out: Vec<(Int, usize)> = roots.into_iter().map(|r| (r, 1)).collect();
     if let Some(g) = &rs.gcd {

@@ -17,10 +17,15 @@
 //! Completion notifications flow through [`Gate`]s exactly as the paper's
 //! per-node status records do: the last prerequisite to arrive spawns the
 //! enabled task.
+//!
+//! The steps themselves are those of the level rounds
+//! ([`crate::rounds`]): the same leaf, combine and SORT helpers, and
+//! the same degenerate-case analysis (`interval::prepare_node`) ahead of the
+//! PREINTERVAL and INTERVAL tasks.
 
-use crate::interval::{Inconsistency, NodeIntervals};
+use crate::interval::{prepare_node, Inconsistency, NodeIntervals, NodePrep};
 use crate::refine::RefineStrategy;
-use crate::seq_solver::{leaf_poly, leaf_roots, merge_roots};
+use crate::rounds::{combine, leaf_poly, leaf_roots, merge_roots};
 use crate::tree::{is_spine, Tree};
 use crate::treepoly;
 use parking_lot::Mutex;
@@ -30,7 +35,7 @@ use rr_mp::{ExactDivisor, Int};
 use rr_poly::remainder::RemainderSeq;
 use rr_poly::Poly;
 use rr_sched::{Gate, Pool, PoolStats, Scope, ScopeConfig, TaskTrace, TaskWrapper};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Task granularity of the tree stage's matrix products.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,8 +49,6 @@ pub enum Grain {
 
 struct NodeSt {
     i: usize,
-    #[allow(dead_code)]
-    j: usize,
     k: Option<usize>,
     left: Option<usize>,
     right: Option<usize>,
@@ -65,12 +68,14 @@ struct NodeSt {
     tmat: OnceLock<Mat2>,
     poly: OnceLock<Poly>,
 
-    merged: OnceLock<Vec<Int>>,
+    /// Taken by the node's PREINTERVAL setup.
+    merged: Mutex<Option<Vec<Int>>>,
     ictx: OnceLock<NodeIntervals>,
     points: OnceLock<Vec<Int>>,
     signs: Mutex<Vec<Option<i32>>>,
     gap_slots: Mutex<Vec<Option<Int>>>,
-    roots: OnceLock<Vec<Int>>,
+    /// Taken by the parent's SORT (the root's by `solve_parallel_on`).
+    roots: Mutex<Option<Vec<Int>>>,
 
     mat_gate: Option<Gate>,
     m1_gate: Option<Gate>,
@@ -97,59 +102,8 @@ impl ParCtx<'_> {
         self.error.lock().is_some()
     }
 
-    fn fail(&self, what: impl Into<String>) {
-        let mut g = self.error.lock();
-        if g.is_none() {
-            *g = Some(Inconsistency { what: what.into() });
-        }
-    }
-}
-
-/// Runs the tree stage on `threads` workers with the paper's dynamic
-/// scheduling, returning the scaled roots and the pool statistics.
-pub fn solve_parallel(
-    rs: &RemainderSeq,
-    mu: u64,
-    bound_bits: u64,
-    strategy: RefineStrategy,
-    grain: Grain,
-    threads: usize,
-) -> Result<(Vec<Int>, PoolStats), Inconsistency> {
-    solve_parallel_traced(rs, mu, bound_bits, strategy, grain, threads).map(|(r, s, _)| (r, s))
-}
-
-/// [`solve_parallel`] plus the recorded task trace, for the trace-driven
-/// speedup simulation (`rr_sched::sim`). One-shot entry point on a
-/// dedicated pool; the solver routes through [`solve_parallel_on`].
-pub fn solve_parallel_traced(
-    rs: &RemainderSeq,
-    mu: u64,
-    bound_bits: u64,
-    strategy: RefineStrategy,
-    grain: Grain,
-    threads: usize,
-) -> Result<(Vec<Int>, PoolStats, TaskTrace), Inconsistency> {
-    let pool = Pool::new(threads.max(1));
-    match solve_parallel_on(
-        &pool,
-        threads,
-        Arc::new(|task| task()),
-        None,
-        rs,
-        mu,
-        bound_bits,
-        strategy,
-        grain,
-    ) {
-        Ok(r) => Ok(r),
-        Err(crate::solver::SolveError::Interval(e)) => Err(e),
-        // No cancel token and no fault wrapper on this one-shot path:
-        // only an interval inconsistency or a genuine task panic can
-        // occur, and the panic keeps the legacy unwinding behaviour.
-        Err(crate::solver::SolveError::TaskPanicked { task_id, message }) => {
-            panic!("task {task_id} panicked: {message}; pool run abandoned")
-        }
-        Err(e) => Err(Inconsistency { what: e.to_string() }),
+    fn fail(&self, e: Inconsistency) {
+        self.error.lock().get_or_insert(e);
     }
 }
 
@@ -157,7 +111,7 @@ pub fn solve_parallel_traced(
 /// `threads` concurrent workers, with `wrapper` run around every task
 /// (installing the solve's session context on the executing worker) and
 /// `cancel` watched at every task boundary.
-#[allow(clippy::too_many_arguments)] // internal plumbing mirror of solve_parallel_traced
+#[allow(clippy::too_many_arguments)] // the solve's pool plumbing plus the stage inputs
 pub(crate) fn solve_parallel_on(
     pool: &Pool,
     threads: usize,
@@ -179,7 +133,6 @@ pub(crate) fn solve_parallel_on(
             let children = nd.child_count();
             NodeSt {
                 i: nd.i,
-                j: nd.j,
                 k: nd.k,
                 left: nd.left,
                 right: nd.right,
@@ -194,12 +147,12 @@ pub(crate) fn solve_parallel_on(
                 t_slots: Mutex::new(Vec::new()),
                 tmat: OnceLock::new(),
                 poly: OnceLock::new(),
-                merged: OnceLock::new(),
+                merged: Mutex::new(None),
                 ictx: OnceLock::new(),
                 points: OnceLock::new(),
                 signs: Mutex::new(Vec::new()),
                 gap_slots: Mutex::new(Vec::new()),
-                roots: OnceLock::new(),
+                roots: Mutex::new(None),
                 mat_gate: (!leaf && !spine).then(|| Gate::new(children)),
                 m1_gate: (!leaf && !spine).then(|| Gate::new(4)),
                 t_gate: (!leaf && !spine).then(|| Gate::new(4)),
@@ -235,8 +188,8 @@ pub(crate) fn solve_parallel_on(
     }
     let roots = ctx.nodes[ctx.root]
         .roots
-        .get()
-        .cloned()
+        .lock()
+        .take()
         .ok_or_else(|| crate::solver::SolveError::Interval(Inconsistency {
             what: "root node never completed".into(),
         }))?;
@@ -314,24 +267,19 @@ fn computepoly<'env>(ctx: &'env ParCtx<'env>, idx: usize, s: &Scope<'env>) {
     }
     let node = &ctx.nodes[idx];
     let k = node.k.expect("internal");
-    node.s_hat
-        .set(with_phase(Phase::TreePoly, || treepoly::s_hat(ctx.rs, k))).expect("s_hat set once");
-    node.divisor
-        .set(with_phase(Phase::TreePoly, || treepoly::combine_divisor(ctx.rs, k))).expect("divisor set once");
     match ctx.grain {
         Grain::Coarse => {
-            let t = with_phase(Phase::TreePoly, || {
-                let lt = ctx.nodes[node.left.expect("internal")].tmat.get().expect("ready");
-                treepoly::combine_tmat(
-                    lt,
-                    right_tmat(ctx, idx),
-                    node.s_hat.get().expect("set"),
-                    node.divisor.get().expect("set"),
-                )
-            });
-            set_tmat(ctx, idx, t, s);
+            let lt = ctx.nodes[node.left.expect("internal")].tmat.get().expect("ready");
+            let rt = node.right.map(|r| ctx.nodes[r].tmat.get().expect("right child matrix ready"));
+            set_tmat(ctx, idx, combine(ctx.rs, k, lt, rt), s);
         }
         Grain::Entry => {
+            node.s_hat
+                .set(with_phase(Phase::TreePoly, || treepoly::s_hat(ctx.rs, k)))
+                .expect("s_hat set once");
+            node.divisor
+                .set(with_phase(Phase::TreePoly, || treepoly::combine_divisor(ctx.rs, k)))
+                .expect("divisor set once");
             *node.m1_slots.lock() = vec![None; 4];
             for e in 0..4usize {
                 s.spawn(move |s2| m1_entry_task(ctx, idx, e, s2));
@@ -404,7 +352,7 @@ fn set_tmat<'env>(ctx: &'env ParCtx<'env>, idx: usize, t: Mat2, s: &Scope<'env>)
 /// Root-list completion: notify the parent's SORT gate (or finish).
 fn finish_roots<'env>(ctx: &'env ParCtx<'env>, idx: usize, roots: Vec<Int>, s: &Scope<'env>) {
     let node = &ctx.nodes[idx];
-    node.roots.set(roots).expect("roots set once");
+    *node.roots.lock() = Some(roots);
     let Some(p) = node.parent else { return };
     if ctx.nodes[p].merged_gate.as_ref().expect("internal parent").arrive() {
         s.spawn(move |s2| sort_task(ctx, p, s2));
@@ -417,12 +365,10 @@ fn sort_task<'env>(ctx: &'env ParCtx<'env>, idx: usize, s: &Scope<'env>) {
         return;
     }
     let node = &ctx.nodes[idx];
-    let left = ctx.nodes[node.left.expect("internal")].roots.get().expect("ready");
-    let merged = match node.right {
-        Some(r) => merge_roots(left, ctx.nodes[r].roots.get().expect("ready")),
-        None => left.clone(),
-    };
-    node.merged.set(merged).expect("merged set once");
+    let take = |c: usize| ctx.nodes[c].roots.lock().take().expect("child roots ready");
+    let left = take(node.left.expect("internal"));
+    let right = node.right.map(take).unwrap_or_default();
+    *node.merged.lock() = Some(merge_roots(left, right));
     arrive_ps(ctx, idx, s);
 }
 
@@ -439,40 +385,18 @@ fn prep_task<'env>(ctx: &'env ParCtx<'env>, idx: usize, s: &Scope<'env>) {
     }
     let node = &ctx.nodes[idx];
     let poly = node.poly.get().expect("ready");
-    let merged = node.merged.get().expect("ready");
-    let Some(d) = poly.degree() else {
-        ctx.fail("zero node polynomial");
-        return;
+    let merged = node.merged.lock().take().expect("ready");
+    let (ictx, points) = match prepare_node(poly, merged, ctx.mu, ctx.bound_bits, ctx.strategy) {
+        Ok(NodePrep::Gaps(ictx, points)) => (ictx, points),
+        Ok(NodePrep::Done(roots)) => return finish_roots(ctx, idx, roots, s),
+        Err(e) => return ctx.fail(e),
     };
-    if d == 0 {
-        if merged.is_empty() {
-            finish_roots(ctx, idx, Vec::new(), s);
-        } else {
-            ctx.fail("constant node polynomial with child roots");
-        }
-        return;
-    }
-    if merged.len() == d {
-        // Theorem 2 degenerate split: roots are the child's.
-        finish_roots(ctx, idx, merged.clone(), s);
-        return;
-    }
-    if merged.len() + 1 != d {
-        ctx.fail(format!("degree {d} with {} interleaving points", merged.len()));
-        return;
-    }
-    node.ictx
-        .set(NodeIntervals::new(poly, ctx.mu, ctx.strategy))
-        .ok()
-        .expect("ictx set once");
-    let mut points = Vec::with_capacity(d + 1);
-    points.push(-Int::pow2(ctx.bound_bits + ctx.mu));
-    points.extend(merged.iter().cloned());
-    points.push(Int::pow2(ctx.bound_bits + ctx.mu));
+    let n_points = points.len();
+    node.ictx.set(ictx).ok().expect("ictx set once");
     node.points.set(points).expect("points set once");
-    *node.signs.lock() = vec![None; d + 1];
-    node.sign_gate.set(Gate::new(d + 1)).expect("set once");
-    for t in 0..=d {
+    *node.signs.lock() = vec![None; n_points];
+    node.sign_gate.set(Gate::new(n_points)).expect("set once");
+    for t in 0..n_points {
         s.spawn(move |s2| sign_task(ctx, idx, t, s2));
     }
 }
@@ -516,27 +440,26 @@ fn gap_task<'env>(ctx: &'env ParCtx<'env>, idx: usize, t: usize, s: &Scope<'env>
                 finish_roots(ctx, idx, roots, s);
             }
         }
-        Err(e) => ctx.fail(e.what),
+        Err(e) => ctx.fail(e),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq_solver::solve_sequential;
-    use rr_poly::bounds::root_bound_bits;
-    use rr_poly::remainder::remainder_sequence;
+    use crate::{ExecMode, RootApproximator, RootsResult, SolverConfig};
+
+    fn solve(p: &Poly, mu: u64, mode: ExecMode, grain: Grain) -> RootsResult {
+        let mut cfg = SolverConfig::parallel(mu, 2);
+        cfg.mode = mode;
+        cfg.grain = grain;
+        RootApproximator::new(cfg).approximate_roots(p).unwrap()
+    }
 
     fn check_matches_sequential(p: &Poly, mu: u64, threads: usize, grain: Grain) {
-        // Reduce to the squarefree part first, as the solver pipeline does.
-        let rs0 = remainder_sequence(p).unwrap();
-        let p = &rs0.squarefree_input();
-        let rs = remainder_sequence(p).unwrap();
-        let b = root_bound_bits(p);
-        let seq = solve_sequential(&rs, mu, b, RefineStrategy::Hybrid).unwrap();
-        let (par, _stats) =
-            solve_parallel(&rs, mu, b, RefineStrategy::Hybrid, grain, threads).unwrap();
-        assert_eq!(seq, par, "threads={threads} grain={grain:?}");
+        let seq = solve(p, mu, ExecMode::Sequential, Grain::Entry);
+        let par = solve(p, mu, ExecMode::Dynamic { threads }, grain);
+        assert_eq!(seq.roots, par.roots, "threads={threads} grain={grain:?}");
     }
 
     #[test]
@@ -586,16 +509,8 @@ mod tests {
     fn pool_stats_reported() {
         let roots: Vec<Int> = (1..=15i64).map(Int::from).collect();
         let p = Poly::from_roots(&roots);
-        let rs = remainder_sequence(&p).unwrap();
-        let (_roots, stats) = solve_parallel(
-            &rs,
-            8,
-            root_bound_bits(&p),
-            RefineStrategy::Hybrid,
-            Grain::Entry,
-            4,
-        )
-        .unwrap();
+        let r = solve(&p, 8, ExecMode::Dynamic { threads: 4 }, Grain::Entry);
+        let stats = r.stats.pool.expect("dynamic mode reports pool stats");
         assert_eq!(stats.workers, 4);
         // RECURSE + leaves + matrix entries + sort + preinterval +
         // interval tasks: must be well beyond the node count.

@@ -36,8 +36,8 @@ pub enum RefineStrategy {
     /// as an ablation.
     BisectOnly,
     /// Sieve + bisection + regula falsi with the Illinois modification —
-    /// one of the derivative-free alternatives [BT90] alludes to
-    /// ("Other methods are described in [BT90]"); superlinear without
+    /// one of the derivative-free alternatives \[BT90\] alludes to
+    /// ("Other methods are described in \[BT90\]"); superlinear without
     /// evaluating `P'`.
     SecantHybrid,
 }

@@ -18,7 +18,7 @@
 //! 10⁴–10⁵ bits and the `c_{i−1}²` divisors grow comparably, so
 //! `Profile::Fast` swaps Algorithm D for the 2-adic (Hensel) kernel
 //! there without changing any recorded cost. Every coefficient task of
-//! iteration `i` divides by the *same* `c_{i−1}²`, so [`IterData`] holds
+//! iteration `i` divides by the *same* `c_{i−1}²`, so `IterData` holds
 //! it as a prepared [`rr_mp::ExactDivisor`]: the tasks share one cached
 //! 2-adic inverse, whatever order the pool runs them in.
 
@@ -68,7 +68,7 @@ pub fn parallel_remainder(p0: &Poly, threads: usize) -> Result<RemainderSeq, Seq
 
 /// [`parallel_remainder`] plus the recorded task trace (empty when the
 /// sequential fallback ran). One-shot entry point on a dedicated pool;
-/// the solver routes through [`parallel_remainder_on`] instead.
+/// the solver routes through `parallel_remainder_on` instead.
 pub fn parallel_remainder_traced(
     p0: &Poly,
     threads: usize,

@@ -130,7 +130,7 @@ impl SolveReport {
 
 /// Per-name aggregate of a report's counter samples (see
 /// [`SolveReport::counter_summary`]). `last` relies on the trace's
-/// counters being time-sorted, which [`build_report`] guarantees.
+/// counters being time-sorted, which `build_report` guarantees.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CounterSummary {
     /// Counter name as recorded (e.g. `queue-depth`).

@@ -21,14 +21,17 @@ use std::time::{Duration, Instant};
 /// How the solver executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Single thread, plain recursion (the reference).
+    /// Single thread: the static level rounds run inline on the calling
+    /// thread (the reference).
     Sequential,
     /// The paper's dynamic task-queue scheduling on `threads` workers.
     Dynamic {
         /// Number of worker threads.
         threads: usize,
     },
-    /// The static level-by-level ablation on `threads` workers.
+    /// The static level-by-level ablation on `threads` workers: the same
+    /// rounds as `Sequential`, each dealt round-robin to the workers with
+    /// a barrier between rounds.
     Static {
         /// Number of worker threads.
         threads: usize,
@@ -56,8 +59,8 @@ pub struct SolverConfig {
     /// including fork-join splitting of large products on this solve's
     /// pool scope). Roots and every paper cost-model table are
     /// bit-identical across profiles (asserted by `tests/backend_diff.rs`);
-    /// only wall-clock and the execution stats ([`SolveStats::newton_div`],
-    /// [`SolveStats::parmul`]) change. Defaults to the `RR_PROFILE`
+    /// only wall-clock and the execution counters ([`SolveStats::exec`])
+    /// change. Defaults to the `RR_PROFILE`
     /// environment selection (`paper` unless set).
     pub profile: Profile,
     /// Graceful degradation (on by default): when the extended remainder
@@ -178,8 +181,9 @@ pub enum SolveError {
 
 impl SolveError {
     /// Stable machine-readable code for this error — the wire taxonomy
-    /// shared by `rr-serve` responses and [`solve_supervised`]
-    /// (`Session::solve_supervised`) callers, so callers branch on a
+    /// shared by `rr-serve` responses and
+    /// [`Session::solve_supervised`](crate::Session::solve_supervised)
+    /// callers, so callers branch on a
     /// fixed string instead of parsing `Display` output. The full set:
     ///
     /// | code | meaning |
@@ -477,8 +481,9 @@ pub(crate) fn abort_to_solve_error(abort: ScopeAbort) -> SolveError {
 
 /// Returns `Err(SolveError::Cancelled)` if the supervised solve has been
 /// cancelled (probing the budget first). Called between phases, where no
-/// pool scope is watching the token.
-fn checkpoint(sup: Option<&Supervision>) -> Result<(), SolveError> {
+/// pool scope is watching the token, and at the start of every node job
+/// of the level rounds ([`crate::rounds`]).
+pub(crate) fn checkpoint(sup: Option<&Supervision>) -> Result<(), SolveError> {
     if let Some(sup) = sup {
         if sup.probe() {
             let reason = sup
@@ -727,13 +732,9 @@ fn tree_stage(
     traces: &mut Vec<TaskTrace>,
     sup: Option<&Supervision>,
 ) -> Result<(Vec<rr_mp::Int>, Option<PoolStats>), SolveError> {
-    match cfg.mode {
-        ExecMode::Sequential => {
-            let roots = crate::seq_solver::solve_sequential_supervised(
-                rs, cfg.mu, bound_bits, cfg.refine, sup,
-            )?;
-            Ok((roots, None))
-        }
+    let threads = match cfg.mode {
+        ExecMode::Sequential => None,
+        ExecMode::Static { threads } => Some(threads),
         ExecMode::Dynamic { threads } => {
             let cancel = sup.map(|s| s.token.clone());
             let (roots, stats, trace) = crate::par_solver::solve_parallel_on(
@@ -748,15 +749,13 @@ fn tree_stage(
                 cfg.grain,
             )?;
             traces.push(trace);
-            Ok((roots, Some(stats)))
+            return Ok((roots, Some(stats)));
         }
-        ExecMode::Static { threads } => {
-            let (roots, _stats) = crate::static_solver::solve_static_with_ctx(
-                rs, cfg.mu, bound_bits, cfg.refine, threads, Some(ctx),
-            )?;
-            Ok((roots, None))
-        }
-    }
+    };
+    let (roots, _) = crate::rounds::solve_rounds_with(
+        rs, cfg.mu, bound_bits, cfg.refine, threads, Some(ctx), sup,
+    )?;
+    Ok((roots, None))
 }
 
 #[cfg(test)]

@@ -75,7 +75,8 @@ fn integer_roots_with_perturbed_interleaving_points() {
                     continue;
                 }
                 let got =
-                    solve_node_intervals(&p, &merged, mu, bound, RefineStrategy::Hybrid).unwrap();
+                    solve_node_intervals(&p, merged.clone(), mu, bound, RefineStrategy::Hybrid)
+                        .unwrap();
                 assert_eq!(got, expect, "offsets ({o1},{o2},{o3}) merged {merged:?}");
             }
         }
@@ -103,10 +104,11 @@ proptest! {
         prop_assert_eq!(expect.len(), 2);
         // interleaving point: the vertex `shift`, exactly on the grid
         let merged = vec![Int::from(shift) << mu];
-        let got = solve_node_intervals(&p, &merged, mu, bound, RefineStrategy::Hybrid).unwrap();
+        let got =
+            solve_node_intervals(&p, merged.clone(), mu, bound, RefineStrategy::Hybrid).unwrap();
         prop_assert_eq!(&got, &expect);
         // and the bisect-only strategy agrees exactly
-        let got2 = solve_node_intervals(&p, &merged, mu, bound, RefineStrategy::BisectOnly).unwrap();
+        let got2 = solve_node_intervals(&p, merged, mu, bound, RefineStrategy::BisectOnly).unwrap();
         prop_assert_eq!(&got2, &expect);
     }
 

@@ -3,9 +3,10 @@
 //! DESIGN.md §11, tested end to end through the public [`Session`] API.
 
 use rr_core::{
-    CancelReason, CancelToken, Degradation, FaultInjector, FaultPlan, Runtime, Session,
-    SolveError, SolveLimits, SolverConfig,
+    CancelReason, CancelToken, Degradation, ExecMode, FaultInjector, FaultPlan, Runtime,
+    Session, SolveError, SolveLimits, SolverConfig,
 };
+use rr_mp::metrics::Phase;
 use rr_mp::Int;
 use rr_poly::Poly;
 use std::time::{Duration, Instant};
@@ -21,35 +22,53 @@ fn slow_input() -> (Poly, SolverConfig) {
     (wilkinson(70), SolverConfig::parallel(96, 3))
 }
 
+/// An input whose sequential remainder stage is short and whose tree
+/// stage is long (high µ makes every interval problem expensive), for
+/// the modes that run the remainder stage without probing: only a tree
+/// stage that probes can cancel these early. Optimized builds run about
+/// 15× faster, so they take a higher µ to keep the tree stage well past
+/// the deadline while each node job stays short.
+fn deep_input(mode: ExecMode) -> (Poly, SolverConfig) {
+    let mut cfg = SolverConfig::sequential(if cfg!(debug_assertions) { 400 } else { 1600 });
+    cfg.mode = mode;
+    (wilkinson(32), cfg)
+}
+
 #[test]
 fn deadline_exceeded_returns_cancelled_within_twice_the_deadline() {
-    let (p, cfg) = slow_input();
-    let session = Session::with_runtime(cfg, &Runtime::new(3));
-    let deadline = Duration::from_millis(100);
-    let t0 = Instant::now();
-    let err = session
-        .solve_with_deadline(&p, deadline)
-        .expect_err("a 100ms deadline cannot fit this solve");
-    let elapsed = t0.elapsed();
-    match &err {
-        SolveError::Cancelled { reason, partial_stats } => {
-            assert!(
-                matches!(reason, CancelReason::Deadline { .. }),
-                "expected a deadline reason, got {reason:?}"
-            );
-            assert!(partial_stats.wall >= deadline, "{:?}", partial_stats.wall);
-            // The solve did real work before being abandoned.
-            assert!(partial_stats.cost.total().mul_count > 0);
+    for (p, cfg) in [
+        slow_input(),
+        deep_input(ExecMode::Static { threads: 3 }),
+        deep_input(ExecMode::Sequential),
+    ] {
+        let mode = cfg.mode;
+        let session = Session::with_runtime(cfg, &Runtime::new(3));
+        let deadline = Duration::from_millis(100);
+        let t0 = Instant::now();
+        let err = session
+            .solve_with_deadline(&p, deadline)
+            .expect_err("a 100ms deadline cannot fit this solve");
+        let elapsed = t0.elapsed();
+        match &err {
+            SolveError::Cancelled { reason, partial_stats } => {
+                assert!(
+                    matches!(reason, CancelReason::Deadline { .. }),
+                    "{mode:?}: expected a deadline reason, got {reason:?}"
+                );
+                assert!(partial_stats.wall >= deadline, "{mode:?}: {:?}", partial_stats.wall);
+                // The solve did real work before being abandoned.
+                assert!(partial_stats.cost.total().mul_count > 0, "{mode:?}");
+            }
+            other => panic!("{mode:?}: expected Cancelled, got {other:?}"),
         }
-        other => panic!("expected Cancelled, got {other:?}"),
+        assert!(
+            elapsed < 2 * deadline,
+            "{mode:?}: cancellation honoured too slowly: {elapsed:.2?} for {deadline:.2?}"
+        );
+        // The session stays usable after a cancelled solve.
+        let r = session.solve(&wilkinson(8)).unwrap();
+        assert_eq!(r.roots.len(), 8);
     }
-    assert!(
-        elapsed < 2 * deadline,
-        "cancellation honoured too slowly: {elapsed:.2?} for a {deadline:.2?} deadline"
-    );
-    // The session stays usable after a cancelled solve.
-    let r = session.solve(&wilkinson(8)).unwrap();
-    assert_eq!(r.roots.len(), 8);
 }
 
 #[test]
@@ -168,6 +187,37 @@ fn budget_exhaustion_cancels_parallel_solves() {
         ),
         "{err:?}"
     );
+}
+
+#[test]
+fn budget_exhaustion_cancels_round_solves_inside_the_tree_stage() {
+    // A budget just past the remainder stage's multiplications: the
+    // sequential remainder stage never probes, so the overrun must be
+    // caught by the tree stage's node jobs, long before the solve ends.
+    let p = wilkinson(20);
+    for mode in [ExecMode::Sequential, ExecMode::Static { threads: 3 }] {
+        let mut cfg = SolverConfig::sequential(16);
+        cfg.mode = mode;
+        let session = Session::with_runtime(cfg, &Runtime::new(3));
+        let full = session.solve(&p).unwrap().stats.cost;
+        let limit = full.phase(Phase::RemainderSeq).mul_count + 1;
+        let err = session
+            .solve_supervised(&p, &SolveLimits::none().with_max_muls(limit))
+            .expect_err("the budget ends inside the tree stage");
+        match err {
+            SolveError::Cancelled { reason, partial_stats } => {
+                assert_eq!(reason, CancelReason::Budget { limit_muls: limit }, "{mode:?}");
+                let spent = partial_stats.cost.total().mul_count;
+                assert!(spent > limit, "{mode:?}: {spent}");
+                assert!(
+                    spent < full.total().mul_count / 2,
+                    "{mode:?}: the tree stage ran on past its budget ({spent} of {})",
+                    full.total().mul_count
+                );
+            }
+            other => panic!("{mode:?}: expected Cancelled, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -42,7 +42,7 @@ pub fn square(a: &[Limb]) -> Vec<Limb> {
     sqr_with_threshold(a, KARATSUBA_THRESHOLD)
 }
 
-/// [`mul`] writing into `out` (cleared and fully overwritten; dirty
+/// [`mul()`] writing into `out` (cleared and fully overwritten; dirty
 /// scratch buffers are valid destinations — see [`crate::scratch`]).
 pub fn mul_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>) {
     mul_with_threshold_into(a, b, KARATSUBA_THRESHOLD, out);
@@ -53,7 +53,7 @@ pub fn square_into(a: &[Limb], out: &mut Vec<Limb>) {
     sqr_with_threshold_into(a, KARATSUBA_THRESHOLD, out);
 }
 
-/// [`mul`] with an explicit recursion threshold.
+/// [`mul()`] with an explicit recursion threshold.
 ///
 /// The differential tests drive this with tiny thresholds to force deep
 /// recursion on small operands; `threshold` is clamped to ≥ 2 (a

@@ -30,7 +30,7 @@
 //! The correction loop is also the safety net: the result is exact by
 //! construction regardless of the error analysis, and if the estimate
 //! were ever further off than expected the loop falls back to Algorithm
-//! D on the residual after [`MAX_CORRECTIONS`] steps, so the worst case
+//! D on the residual after `MAX_CORRECTIONS` steps, so the worst case
 //! is schoolbook cost, never a wrong answer. The differential suite in
 //! `tests/div_diff.rs` holds this kernel bit-for-bit equal to Algorithm
 //! D across ~15k generated and adversarial cases.

@@ -24,7 +24,7 @@
 //! of the short operand's length (the same chunking as the serial
 //! kernel); tiles are computed into per-tile buffers by a halving
 //! fork-join tree and combined serially with the carry-propagating
-//! [`kmul::add_at`]. Combination order never affects the limbs: an exact
+//! `kmul::add_at`. Combination order never affects the limbs: an exact
 //! integer product is unique, so the parallel kernels are bit-identical
 //! to the serial ones by construction — the differential suite
 //! (`crates/mp/tests/parmul_diff.rs`) holds them to that.
@@ -92,7 +92,7 @@ pub const PAR_MUL_THRESHOLD: usize = 32;
 /// than the whole pool can claim, coarse enough that the per-fork cost
 /// stays invisible next to the leaf work. Products near the engage
 /// threshold get proportionally less: the top-level budget is scaled to
-/// the schoolbook-proxy work (see [`task_budget`]) so no leaf ever
+/// the schoolbook-proxy work (see `task_budget`) so no leaf ever
 /// falls much below a `t × t` product's worth of work.
 pub const PAR_MUL_TASK_BUDGET: usize = 64;
 

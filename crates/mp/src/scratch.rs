@@ -16,9 +16,9 @@
 //! counted once, as [`Exec::Allocs`] and [`Exec::AllocBytes`] under the
 //! current phase ([`crate::metrics::count`]), so the per-phase
 //! allocation counters of a solve are measured, not estimated. A warm
-//! repeat solve's remainder phase records zero
-//! (`results/BENCH_arena.json`, and the `profile_diff` suite asserts
-//! it).
+//! repeat solve's remainder phase records zero (the `profile_diff`
+//! suite asserts it; the historical `results/BENCH_arena.json`, written
+//! by a since-removed harness, records the same zero).
 //!
 //! ## Aliasing and hygiene contract
 //!

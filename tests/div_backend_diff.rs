@@ -8,7 +8,8 @@
 //! cost model must be bit-identical to `Profile::Paper`; only wall-clock
 //! and the physical division counters (`Exec::DIVISION`) may differ.
 
-use polyroots::core::{ExecMode, Profile, RootsResult, Session};
+use polyroots::core::{ExecMode, Grain, Profile, RootsResult, Session};
+use polyroots::mp::metrics::Phase;
 use polyroots::mp::Exec;
 use polyroots::workload::charpoly_input;
 use polyroots::SolverConfig;
@@ -59,30 +60,50 @@ fn div_backends_differ_only_in_wall_clock() {
     }
 }
 
+/// The phases the tree stage records into.
+const TREE_STAGE: [Phase; 6] = [
+    Phase::TreePoly,
+    Phase::Sort,
+    Phase::PreInterval,
+    Phase::Sieve,
+    Phase::Bisection,
+    Phase::Newton,
+];
+
 #[test]
 fn full_backend_grid_is_invariant() {
-    // One representative size across every profile × execution mode:
-    // each cell agrees with the sequential paper reference.
+    // One representative size across every profile × execution mode ×
+    // grain: each cell agrees with the sequential paper reference in its
+    // roots, its total cost and the cost of every tree-stage phase.
     let mu = 53;
     let p = charpoly_input(20, 0);
     let reference = solve(SolverConfig::sequential(mu).with_profile(Profile::Paper), &p);
     for profile in Profile::ALL {
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::Dynamic { threads: 1 },
-            ExecMode::Dynamic { threads: 4 },
+        for (mode, grain) in [
+            (ExecMode::Sequential, Grain::Entry),
+            (ExecMode::Static { threads: 3 }, Grain::Entry),
+            (ExecMode::Dynamic { threads: 1 }, Grain::Entry),
+            (ExecMode::Dynamic { threads: 4 }, Grain::Entry),
+            (ExecMode::Dynamic { threads: 3 }, Grain::Coarse),
         ] {
             let mut cfg = SolverConfig::parallel(mu, 4).with_profile(profile);
             cfg.mode = mode;
+            cfg.grain = grain;
             let other = solve(cfg, &p);
-            let cell = format!("{profile:?}/{mode:?}");
+            let cell = format!("{profile:?}/{mode:?}/{grain:?}");
             assert_eq!(reference.roots, other.roots, "roots {cell}");
             assert_eq!(reference.n_star, other.n_star, "n_star {cell}");
-            if matches!(mode, ExecMode::Sequential) {
-                // Phase attribution differs between the sequential and
-                // pooled remainder stages, so only same-mode cells share
-                // the reference's per-phase cost.
-                assert_eq!(reference.stats.cost, other.stats.cost, "stats.cost {cell}");
+            let (want, got) = (&reference.stats.cost, &other.stats.cost);
+            assert_eq!(want.total(), got.total(), "total cost {cell}");
+            for phase in TREE_STAGE {
+                assert_eq!(want.phase(phase), got.phase(phase), "{phase:?} cost {cell}");
+            }
+            if mode != (ExecMode::Dynamic { threads: 1 }) {
+                // On one worker the parallel remainder stage falls back
+                // to a sequential run that leaves part of its work under
+                // `Phase::Other`, so that cell shares only the total and
+                // the tree-stage phases with the reference.
+                assert_eq!(want, got, "stats.cost {cell}");
             }
         }
     }

@@ -69,8 +69,9 @@ fn single_worker_pool_inlines_all_splits() {
 
 /// The scratch arenas make the remainder phase allocation-free once
 /// warm: a repeat sequential solve on the same thread reuses every limb
-/// buffer the first one left behind (`results/BENCH_arena.json` records
-/// the same zero).
+/// buffer the first one left behind (the historical
+/// `results/BENCH_arena.json`, written by a since-removed harness,
+/// records the same zero).
 #[test]
 fn warm_remainder_phase_allocates_nothing() {
     let p = charpoly_input(64, 0);

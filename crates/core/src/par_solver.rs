@@ -176,13 +176,10 @@ pub(crate) fn solve_parallel_on(
     let ctx_ref = &ctx;
     let (stats, trace) = pool
         .try_scope(
-            ScopeConfig { cap: threads, traced: true, wrapper: Some(wrapper), cancel },
+            ScopeConfig { cap: threads, wrapper: Some(wrapper), cancel },
             move |s| recurse(ctx_ref, ctx_ref.root, s),
         )
         .map_err(|abort| crate::solver::abort_to_solve_error(*abort))?;
-    let trace = trace.ok_or_else(|| {
-        crate::solver::SolveError::Internal("tree scope returned no trace".into())
-    })?;
     if let Some(e) = ctx.error.lock().take() {
         return Err(crate::solver::SolveError::Interval(e));
     }

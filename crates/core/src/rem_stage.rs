@@ -31,7 +31,7 @@ use rr_poly::remainder::{
 };
 use rr_poly::Poly;
 use rr_sched::{Gate, Pool, Scope, ScopeConfig, TaskWrapper};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 struct IterData {
     q0: Int,
@@ -58,39 +58,14 @@ struct Stage {
 }
 
 /// Computes the extended standard remainder sequence of `p0` with the
-/// paper's per-coefficient dynamic parallelism on `threads` workers.
+/// paper's per-coefficient dynamic parallelism, in a scope of the given
+/// `pool` capped at `threads` concurrent workers, with `wrapper` run
+/// around every task (installing the solve's session context) and
+/// `cancel` watched at every task boundary.
 ///
 /// Produces exactly the same [`RemainderSeq`] as the sequential
-/// [`remainder_sequence`] (asserted by tests).
-pub fn parallel_remainder(p0: &Poly, threads: usize) -> Result<RemainderSeq, SeqError> {
-    parallel_remainder_traced(p0, threads).map(|(rs, _)| rs)
-}
-
-/// [`parallel_remainder`] plus the recorded task trace (empty when the
-/// sequential fallback ran). One-shot entry point on a dedicated pool;
-/// the solver routes through `parallel_remainder_on` instead.
-pub fn parallel_remainder_traced(
-    p0: &Poly,
-    threads: usize,
-) -> Result<(RemainderSeq, rr_sched::TaskTrace), SeqError> {
-    let pool = Pool::new(threads.max(1));
-    match parallel_remainder_on(&pool, threads, Arc::new(|task| task()), None, p0) {
-        Ok(r) => Ok(r),
-        Err(SolveError::Seq(e)) => Err(e),
-        // No cancel token and no fault wrapper here: an unsupervised
-        // one-shot run can only fail with a SeqError or a genuine task
-        // panic, which keeps the legacy unwinding behaviour.
-        Err(SolveError::TaskPanicked { task_id, message }) => {
-            panic!("task {task_id} panicked: {message}; pool run abandoned")
-        }
-        Err(e) => panic!("unexpected failure in unsupervised remainder stage: {e}"),
-    }
-}
-
-/// Computes the extended standard remainder sequence in a scope of the
-/// given `pool`, capped at `threads` concurrent workers, with `wrapper`
-/// run around every task (installing the solve's session context) and
-/// `cancel` watched at every task boundary.
+/// [`remainder_sequence`] (asserted by tests), with every operation
+/// charged to [`Phase::RemainderSeq`] on either path.
 pub(crate) fn parallel_remainder_on(
     pool: &Pool,
     threads: usize,
@@ -105,7 +80,7 @@ pub(crate) fn parallel_remainder_on(
     if n == 1 || threads == 1 {
         // Sequential fallback on the calling thread (which already has
         // the session context installed).
-        return remainder_sequence(p0)
+        return with_phase(Phase::RemainderSeq, || remainder_sequence(p0))
             .map(|rs| (rs, rr_sched::TaskTrace::default()))
             .map_err(SolveError::Seq);
     }
@@ -126,7 +101,7 @@ pub(crate) fn parallel_remainder_on(
     let stage_ref = &stage;
     let (_stats, trace) = pool
         .try_scope(
-            ScopeConfig { cap: threads, traced: true, wrapper: Some(wrapper), cancel },
+            ScopeConfig { cap: threads, wrapper: Some(wrapper), cancel },
             move |s| start_iteration(stage_ref, 1, s),
         )
         .map_err(|abort| crate::solver::abort_to_solve_error(*abort))?;
@@ -134,8 +109,6 @@ pub(crate) fn parallel_remainder_on(
     if let Some(e) = stage.error.lock().take() {
         return Err(SolveError::Seq(e));
     }
-    let trace = trace
-        .ok_or_else(|| SolveError::Internal("remainder scope returned no trace".into()))?;
     assemble(stage).map(|rs| (rs, trace))
 }
 
@@ -271,10 +244,30 @@ fn assemble(stage: Stage) -> Result<RemainderSeq, SolveError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    /// The stage on a dedicated pool under a fresh context; returns its
+    /// result and the context's cost.
+    fn run_stage(
+        p: &Poly,
+        threads: usize,
+    ) -> (Result<RemainderSeq, SeqError>, rr_mp::metrics::CostSnapshot) {
+        // Every task installs the context, as the solver's do.
+        let ctx = rr_mp::SolveCtx::new(rr_mp::Profile::Paper);
+        let task_ctx = ctx.clone();
+        let wrapper: TaskWrapper = Arc::new(move |task| task_ctx.run(task));
+        let pool = Pool::new(threads);
+        let out = ctx.run(|| parallel_remainder_on(&pool, threads, wrapper, None, p));
+        let out = out.map(|(rs, _)| rs).map_err(|e| match e {
+            SolveError::Seq(e) => e,
+            other => panic!("unsupervised remainder stage failed: {other}"),
+        });
+        (out, ctx.snapshot())
+    }
 
     fn check_matches_sequential(p: &Poly, threads: usize) {
         let seq = remainder_sequence(p);
-        let par = parallel_remainder(p, threads);
+        let (par, _) = run_stage(p, threads);
         match (seq, par) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.f, b.f);
@@ -329,12 +322,8 @@ mod tests {
     fn cost_attributed_to_remainder_phase() {
         let roots: Vec<Int> = (1..=12i64).map(Int::from).collect();
         let p = Poly::from_roots(&roots);
-        // Every task installs the context, as the solver's do.
-        let ctx = rr_mp::SolveCtx::new(rr_mp::Profile::Paper);
-        let task_ctx = ctx.clone();
-        let wrapper: TaskWrapper = Arc::new(move |task| task_ctx.run(task));
-        let _ = ctx.run(|| parallel_remainder_on(&Pool::new(4), 4, wrapper, None, &p)).unwrap();
-        let d = ctx.snapshot();
+        let (rs, d) = run_stage(&p, 4);
+        rs.unwrap();
         assert!(d.phase(Phase::RemainderSeq).mul_count > 0);
         assert_eq!(d.phase(Phase::TreePoly).mul_count, 0);
     }

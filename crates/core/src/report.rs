@@ -1,28 +1,34 @@
-//! Fused per-solve reports: wall-clock spans + operation counts +
-//! scheduler timings in one structure.
+//! Fused per-solve reports: phase times + operation counts + scheduler
+//! timings in one structure.
+//!
+//! Every view here reads a record the solve already keeps; nothing is
+//! re-derived from another view:
+//!
+//! * the phase rows come from the solve's counter block: each
+//!   `rr_mp::metrics::with_phase` region charges its self time and one
+//!   region count to [`crate::SolveStats::phase_time`], next to the
+//!   per-phase mul/div counts of [`crate::SolveStats::cost`] (the
+//!   paper's Figures 2–7 dimension), so a row is one phase index read
+//!   from both — traced or not;
+//! * the scheduler's [`rr_sched::TaskRecord`]s (start timestamp,
+//!   duration, executing worker, queue depth at the steal) give the task
+//!   totals, and are rebased from the scope epoch onto the recorder
+//!   epoch as spans and queue-depth counters on synthetic per-worker
+//!   tracks.
 //!
 //! A traced solve ([`crate::Session::solve_traced`]) carries an
 //! `rr-obs` recorder through every thread that works on it, so the
-//! phase spans emitted by `rr_mp::metrics::with_phase` land on one
-//! timeline. This module fuses that timeline with the two other
-//! observability sources the solve already produces:
-//!
-//! * the per-solve [`CostSnapshot`] (per-phase mul/div counts — the
-//!   paper's Figures 2–7 dimension), matched to phase spans by label,
-//!   and
-//! * the scheduler's timed [`rr_sched::TaskRecord`]s (start timestamp,
-//!   duration, executing worker) and queue-depth samples, rebased from
-//!   the scope epoch onto the recorder epoch and placed on synthetic
-//!   per-worker tracks.
-//!
-//! The result is a [`SolveReport`]: per-phase time *and* counts,
-//! observed parallelism (total work over critical path — the `T_1/T_∞`
-//! bound the speedup tables are judged against), and a merged
-//! [`rr_obs::Trace`] exportable as Chrome `trace_event` JSON
+//! `"phase"` spans `with_phase` emits (with the same instants it timed)
+//! and the stage spans land on one timeline. The result is a
+//! [`SolveReport`]: per-phase time *and* counts, observed parallelism
+//! (total work over critical path — the `T_1/T_∞` bound the speedup
+//! tables are judged against), and a merged [`rr_obs::Trace`]
+//! exportable as Chrome `trace_event` JSON
 //! ([`SolveReport::write_chrome`]) for Perfetto / `chrome://tracing`.
 
 use crate::solver::RootsResult;
 use rr_mp::metrics::{CostSnapshot, Exec, ALL_PHASES};
+use rr_mp::PhaseTimes;
 use rr_obs::trace::WORKER_TRACK_BASE;
 use rr_obs::{CounterRecord, Recorder, SpanRecord, Trace};
 use rr_sched::{sim, PoolStats, TaskTrace};
@@ -35,12 +41,13 @@ use std::time::Duration;
 pub struct PhaseReport {
     /// Phase label (`rr_mp::metrics::Phase::label`).
     pub name: String,
-    /// Self time: span time attributed to this phase, with nested
-    /// phase spans subtracted (the innermost phase owns the interval,
-    /// matching the counting rule for `mul_count`).
+    /// Self time: wall time of the phase's `with_phase` regions, with
+    /// nested regions subtracted (the innermost phase owns the interval,
+    /// matching the counting rule for `mul_count`), summed over threads.
     pub self_time: Duration,
-    /// Number of spans recorded for the phase.
-    pub spans: usize,
+    /// Number of `with_phase` regions of the phase (one `"phase"` span
+    /// each in the trace).
+    pub spans: u64,
     /// Multiplications counted in the phase.
     pub mul_count: u64,
     /// Sum over the phase's multiplications of the product of operand
@@ -56,7 +63,7 @@ pub struct SolveReport {
     /// Total solve wall-clock time.
     pub wall: Duration,
     /// Per-phase time/count rows, descending by self time. Phases with
-    /// neither spans nor counts are omitted.
+    /// neither regions nor counts are omitted.
     pub phases: Vec<PhaseReport>,
     /// Tasks executed by the scheduler (0 for sequential solves).
     pub total_tasks: u64,
@@ -176,7 +183,7 @@ impl std::fmt::Display for SolveReport {
         for p in &self.phases {
             writeln!(
                 f,
-                "  {:<12} {:>10.2?}  ({} spans, {} muls, {} divs)",
+                "  {:<12} {:>10.2?}  ({} regions, {} muls, {} divs)",
                 p.name, p.self_time, p.spans, p.mul_count, p.div_count,
             )?;
         }
@@ -211,7 +218,7 @@ fn fuse_task_trace(trace: &mut Trace, task_trace: &TaskTrace, recorder: &Recorde
             trace.threads.push((tid, format!("pool-worker-{}", r.worker)));
         }
     }
-    for &(t_ns, depth) in &task_trace.queue_samples {
+    for (t_ns, depth) in task_trace.queue_samples() {
         trace.counters.push(CounterRecord {
             name: "queue-depth",
             t_ns: base_ns + t_ns,
@@ -220,44 +227,24 @@ fn fuse_task_trace(trace: &mut Trace, task_trace: &TaskTrace, recorder: &Recorde
     }
 }
 
-/// Joins per-phase span self-times with the cost snapshot's per-phase
-/// counts. A phase appears if it has either spans or counts.
-fn phase_rows(trace: &Trace, cost: &CostSnapshot) -> Vec<PhaseReport> {
-    let mut rows: Vec<PhaseReport> = trace
-        .self_time_by_name("phase")
+/// One row per phase with regions or counts, read from the solve's
+/// phase times and cost snapshot at the same phase index.
+fn phase_rows(time: &PhaseTimes, cost: &CostSnapshot) -> Vec<PhaseReport> {
+    let mut rows: Vec<PhaseReport> = ALL_PHASES
         .into_iter()
-        .map(|(name, self_time, spans)| PhaseReport {
-            name,
-            self_time,
-            spans,
-            mul_count: 0,
-            mul_bits: 0,
-            div_count: 0,
+        .filter_map(|phase| {
+            let c = cost.phase(phase);
+            let regions = time.regions(phase);
+            (regions > 0 || c.mul_count > 0 || c.div_count > 0).then(|| PhaseReport {
+                name: phase.label().to_owned(),
+                self_time: time.self_time(phase),
+                spans: regions,
+                mul_count: c.mul_count,
+                mul_bits: c.mul_bits,
+                div_count: c.div_count,
+            })
         })
         .collect();
-    for phase in ALL_PHASES {
-        let c = cost.phase(phase);
-        if c.mul_count == 0 && c.div_count == 0 {
-            continue;
-        }
-        let row = match rows.iter_mut().find(|r| r.name == phase.label()) {
-            Some(row) => row,
-            None => {
-                rows.push(PhaseReport {
-                    name: phase.label().to_owned(),
-                    self_time: Duration::ZERO,
-                    spans: 0,
-                    mul_count: 0,
-                    mul_bits: 0,
-                    div_count: 0,
-                });
-                rows.last_mut().expect("just pushed")
-            }
-        };
-        row.mul_count = c.mul_count;
-        row.mul_bits = c.mul_bits;
-        row.div_count = c.div_count;
-    }
     rows.sort_by(|a, b| b.self_time.cmp(&a.self_time).then_with(|| a.name.cmp(&b.name)));
     rows
 }
@@ -295,7 +282,7 @@ pub(crate) fn build_report(result: &RootsResult, recorder: &Recorder) -> SolveRe
         .map_or((0, 0), |p| (p.panicked_tasks, p.cancelled_tasks));
     SolveReport {
         wall: result.stats.wall,
-        phases: phase_rows(&trace, &result.stats.cost),
+        phases: phase_rows(&result.stats.phase_time, &result.stats.cost),
         total_tasks,
         total_work,
         critical_path,
@@ -339,6 +326,33 @@ mod tests {
             result.stats.cost.phase(rr_mp::metrics::Phase::RemainderSeq).mul_count
         );
         assert!(rem.mul_count > 0);
+    }
+
+    #[test]
+    fn sequential_phase_rows_are_the_solve_phase_times() {
+        let session = Session::new(SolverConfig::sequential(16));
+        let (result, report) = session.solve_traced(&wilkinson(12)).unwrap();
+        let time = &result.stats.phase_time;
+        let mut sum = Duration::ZERO;
+        for row in &report.phases {
+            let phase = ALL_PHASES.into_iter().find(|p| p.label() == row.name).unwrap();
+            assert_eq!(row.self_time, time.self_time(phase), "{}", row.name);
+            assert_eq!(row.spans, time.regions(phase), "{}", row.name);
+            // The trace holds one "phase" span per counted region.
+            let spans = report
+                .trace
+                .spans
+                .iter()
+                .filter(|s| s.cat == "phase" && s.name == row.name)
+                .count() as u64;
+            assert_eq!(spans, row.spans, "{}", row.name);
+            sum += row.self_time;
+        }
+        // One thread, disjoint top-level regions: the layer times fit
+        // inside the solve's wall time.
+        assert_eq!(sum, time.total());
+        assert!(sum <= result.stats.wall, "{sum:?} > wall {:?}", result.stats.wall);
+        assert!(sum > Duration::ZERO);
     }
 
     #[test]

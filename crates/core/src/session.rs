@@ -344,7 +344,19 @@ impl Session {
         limits: &SolveLimits,
     ) -> Result<RootsResult, SolveError> {
         let (ctx, sup) = self.ctx_and_supervision(limits);
-        let result = ctx.run(|| solve_with(&self.config, &ctx, self.runtime.pool(), p, sup.as_ref()));
+        self.run_solve(&ctx, sup.as_ref(), p)
+    }
+
+    /// Runs one solve under `ctx` and accounts for it, whatever its
+    /// outcome: the registry's outcome tick always, the session's
+    /// cumulative cost on success.
+    fn run_solve(
+        &self,
+        ctx: &SolveCtx,
+        sup: Option<&Supervision>,
+        p: &Poly,
+    ) -> Result<RootsResult, SolveError> {
+        let result = ctx.run(|| solve_with(&self.config, ctx, self.runtime.pool(), p, sup));
         if let Ok(r) = &result {
             *self.cumulative.lock() += r.stats.cost;
         }
@@ -409,10 +421,7 @@ impl Session {
         let recorder = rr_obs::Recorder::new();
         let (ctx, sup) = self.ctx_and_supervision(&SolveLimits::none());
         let ctx = ctx.with_recorder(recorder.clone());
-        let result =
-            ctx.run(|| solve_with(&self.config, &ctx, self.runtime.pool(), p, sup.as_ref()))?;
-        *self.cumulative.lock() += result.stats.cost;
-        self.record_solve_metrics(Ok(&result));
+        let result = self.run_solve(&ctx, sup.as_ref(), p)?;
         let report = crate::report::build_report(&result, &recorder);
         Ok((result, report))
     }

@@ -6,7 +6,7 @@ use crate::interval::Inconsistency;
 pub use crate::par_solver::Grain;
 pub use crate::refine::RefineStrategy;
 use rr_mp::metrics::{self, CostSnapshot, Phase};
-use rr_mp::{Profile, SolveCtx};
+use rr_mp::{PhaseTimes, Profile, SolveCtx};
 use rr_poly::bounds::root_bound_bits;
 use rr_poly::remainder::{remainder_sequence, RemainderSeq, SeqError};
 use rr_poly::Poly;
@@ -325,6 +325,11 @@ pub struct SolveStats {
     /// Deliberately *outside* [`SolveStats::cost`], whose equality
     /// across profiles is the model-invariance guarantee.
     pub exec: rr_mp::ExecSnapshot,
+    /// Wall-clock self time and region count per phase, charged by
+    /// every `with_phase` region of this solve on any thread (traced or
+    /// not). Like `exec`, kept outside [`SolveStats::cost`]: times vary
+    /// run to run. [`crate::SolveReport::phases`] is built from it.
+    pub phase_time: PhaseTimes,
 }
 
 impl SolveStats {
@@ -498,8 +503,9 @@ pub(crate) fn checkpoint(sup: Option<&Supervision>) -> Result<(), SolveError> {
 
 /// One full solve under an installed session context, on `pool`.
 ///
-/// The caller ([`crate::Session::solve`]) installs `ctx` on this thread
-/// for the sequential parts; the parallel stages open scopes on `pool`
+/// The caller ([`crate::Session::solve`]) creates `ctx` fresh for this
+/// solve (so its phase times are the solve's) and installs it on this
+/// thread for the sequential parts; the parallel stages open scopes on `pool`
 /// whose tasks re-install it via [`ctx_wrapper`]. When `sup` is given,
 /// the solve is supervised: the token is checked at phase and task
 /// boundaries, the budget is probed, faults are injected, and any error
@@ -644,6 +650,7 @@ fn solve_inner(
         traces,
         bound_bits,
         exec: ctx.exec(),
+        phase_time: ctx.phase_time(),
     };
     Ok(RootsResult {
         roots: scaled.into_iter().map(|num| Dyadic::new(num, cfg.mu)).collect(),
@@ -687,6 +694,7 @@ fn baseline_fallback(
         traces,
         bound_bits: root_bound_bits(p),
         exec: ctx.exec(),
+        phase_time: ctx.phase_time(),
     };
     Ok(RootsResult {
         roots: scaled.into_iter().map(|num| Dyadic::new(num, cfg.mu)).collect(),

@@ -67,6 +67,6 @@ mod int;
 
 pub use divisor::ExactDivisor;
 pub use int::{Int, Sign};
-pub use metrics::{Exec, ExecSnapshot};
+pub use metrics::{Exec, ExecSnapshot, PhaseTimes};
 pub use profile::Profile;
 pub use session::{active_profile, CtxGuard, SolveCtx};

@@ -22,7 +22,7 @@
 //! events — which is what the per-solve figures (2–7) depend on. A
 //! thread with no context installed records nothing.
 //!
-//! Each block holds two counter sets per phase:
+//! Each block holds three counter sets per phase:
 //!
 //! * the **model** counters ([`CostSnapshot`], read with
 //!   [`crate::SolveCtx::snapshot`]): what the paper's cost model
@@ -31,7 +31,10 @@
 //!   across profiles;
 //! * the **execution** counters ([`ExecSnapshot`], read with
 //!   [`crate::SolveCtx::exec`]): what the kernels physically ran, one
-//!   [`Exec`] label each, recorded by [`count`].
+//!   [`Exec`] label each, recorded by [`count`];
+//! * the **phase times** ([`PhaseTimes`], read with
+//!   [`crate::SolveCtx::phase_time`]): wall-clock self time and region
+//!   count of every [`with_phase`] region, recorded when it closes.
 //!
 //! A context's sink starts empty, so its snapshot *is* the exact cost of
 //! everything run under it:
@@ -59,6 +62,7 @@ use std::cell::Cell;
 use std::ops::{Add, AddAssign, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Algorithm phase an arithmetic operation is attributed to.
 ///
@@ -136,6 +140,11 @@ pub(crate) struct ThreadCounters {
     // `PartialEq` backs the invariance assertions), while these describe
     // what actually ran. Read via `ExecSnapshot`.
     exec: [[AtomicU64; NUM_EXEC]; NUM_PHASES],
+    // Self time (ns) and count of closed `with_phase` regions. Also kept
+    // out of `CostSnapshot`: wall time varies run to run. Read via
+    // `PhaseTimes`.
+    self_ns: [AtomicU64; NUM_PHASES],
+    regions: [AtomicU64; NUM_PHASES],
 }
 
 impl ThreadCounters {
@@ -162,6 +171,12 @@ impl ThreadCounters {
         for &(label, n) in events {
             self.exec[phase][label as usize].fetch_add(n, Ordering::Relaxed);
         }
+    }
+
+    #[inline]
+    fn record_region(&self, phase: usize, self_ns: u64) {
+        self.self_ns[phase].fetch_add(self_ns, Ordering::Relaxed);
+        self.regions[phase].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -291,6 +306,36 @@ impl ExecSnapshot {
     }
 }
 
+/// Wall-clock self time and region count per phase of one sink's
+/// [`with_phase`] regions: each region's duration minus the regions
+/// nested inside it on the same thread, so the innermost phase owns the
+/// interval — the same rule that attributes operation counts. Summed
+/// over threads, so a parallel solve's total can exceed its wall time;
+/// on one thread the self times of disjoint top-level regions add up to
+/// at most the wall time that contains them.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseTimes {
+    self_ns: [u64; NUM_PHASES],
+    regions: [u64; NUM_PHASES],
+}
+
+impl PhaseTimes {
+    /// Self time recorded under `p`.
+    pub fn self_time(&self, p: Phase) -> Duration {
+        Duration::from_nanos(self.self_ns[p as usize])
+    }
+
+    /// Number of closed [`with_phase`] regions of phase `p`.
+    pub fn regions(&self, p: Phase) -> u64 {
+        self.regions[p as usize]
+    }
+
+    /// Self time summed over all phases.
+    pub fn total(&self) -> Duration {
+        Duration::from_nanos(self.self_ns.iter().sum())
+    }
+}
+
 /// A registry of per-thread event counters that can be aggregated at any
 /// time. The recording path is contention-free: each thread that records
 /// into a sink owns its own counter block (only the owner writes; the
@@ -359,6 +404,19 @@ impl MetricsSink {
         out
     }
 
+    /// Aggregates the phase times of every thread that has recorded
+    /// into this sink.
+    pub(crate) fn phase_time(&self) -> PhaseTimes {
+        let mut out = PhaseTimes::default();
+        for c in self.inner.threads.lock().iter() {
+            for i in 0..NUM_PHASES {
+                out.self_ns[i] += c.self_ns[i].load(Ordering::Relaxed);
+                out.regions[i] += c.regions[i].load(Ordering::Relaxed);
+            }
+        }
+        out
+    }
+
     /// Aggregates the execution counters of every thread that has
     /// recorded into this sink.
     pub(crate) fn exec(&self) -> ExecSnapshot {
@@ -376,6 +434,10 @@ impl MetricsSink {
 
 thread_local! {
     static CURRENT_PHASE: Cell<usize> = const { Cell::new(Phase::Other as usize) };
+    /// Inclusive time (ns) of the regions closed so far directly inside
+    /// the innermost open [`with_phase`] region on this thread; that
+    /// region subtracts it from its own duration to get its self time.
+    static NESTED_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Always-on `rr_obs::metrics` series fed by this module, alongside the
@@ -503,32 +565,46 @@ pub fn current_phase() -> Phase {
 /// Runs `f` with the current phase set to `p`, restoring the previous
 /// phase afterwards (also on unwind).
 ///
-/// If the thread is inside a traced solve (an `rr-obs` recorder is
-/// installed, via [`crate::SolveCtx::with_recorder`]), the region is
-/// also recorded as a wall-clock phase span, so per-phase times line up
-/// with per-phase operation counts. With no recorder installed the span
-/// call is a single branch.
+/// This is the one recording site of a phase region. It reads the clock
+/// once on entry and once on exit, and feeds three views from those two
+/// instants (also on unwind, so panicking regions still count):
+///
+/// * the innermost installed [`crate::SolveCtx`]'s [`PhaseTimes`]: the
+///   region's *self* time — its duration minus the regions nested in it
+///   on this thread — and one region count;
+/// * the always-on `rr_phase_duration_ns` histogram: the region's
+///   inclusive duration;
+/// * in a traced solve (a recorder attached via
+///   [`crate::SolveCtx::with_recorder`]), a `"phase"` span with the same
+///   start and end. With no recorder installed this is a single branch.
 pub fn with_phase<R>(p: Phase, f: impl FnOnce() -> R) -> R {
-    struct Restore {
+    struct Region {
         prev: Phase,
         cur: Phase,
-        start: Option<std::time::Instant>,
+        /// `NESTED_NS` of the enclosing region, restored on exit.
+        outer_nested: u64,
+        start: Instant,
     }
-    impl Drop for Restore {
+    impl Drop for Region {
         fn drop(&mut self) {
+            let end = Instant::now();
+            let inclusive = end.duration_since(self.start).as_nanos() as u64;
+            let self_ns = inclusive.saturating_sub(NESTED_NS.get());
+            NESTED_NS.set(self.outer_nested + inclusive);
             set_phase(self.prev);
-            // Feed the always-on per-phase latency distribution (also
-            // on unwind, so panicking regions still count).
-            if let Some(t0) = self.start {
-                obs_metrics::PHASE_NS[self.cur as usize].record_duration(t0.elapsed());
+            let phase = self.cur as usize;
+            crate::session::record(|c| c.record_region(phase, self_ns));
+            if rr_obs::metrics::enabled() {
+                obs_metrics::PHASE_NS[phase].record(inclusive);
             }
+            rr_obs::record_span("phase", self.cur.label(), self.start, end);
         }
     }
-    let _span = rr_obs::phase_span(p.label());
-    let _restore = Restore {
+    let _region = Region {
         prev: set_phase(p),
         cur: p,
-        start: rr_obs::metrics::enabled().then(std::time::Instant::now),
+        outer_nested: NESTED_NS.replace(0),
+        start: Instant::now(),
     };
     f()
 }
@@ -824,6 +900,109 @@ mod tests {
         }
         let keys: std::collections::HashSet<_> = ALL_EXEC.iter().map(|e| e.label()).collect();
         assert_eq!(keys.len(), NUM_EXEC);
+    }
+
+    /// Runs `f` under a fresh traced context; returns the context and
+    /// the `"phase"` spans its regions recorded.
+    fn traced(f: impl FnOnce()) -> (SolveCtx, Vec<rr_obs::SpanRecord>) {
+        let rec = rr_obs::Recorder::new();
+        let ctx = SolveCtx::new(Profile::Paper).with_recorder(rec.clone());
+        ctx.run(f);
+        (ctx, rec.finish().spans)
+    }
+
+    fn dur(spans: &[rr_obs::SpanRecord], name: &str) -> Duration {
+        Duration::from_nanos(spans.iter().filter(|s| s.name == name).map(|s| s.dur_ns).sum())
+    }
+
+    #[test]
+    fn nested_with_phase_self_time_goes_to_innermost() {
+        let sleep = |ms| std::thread::sleep(Duration::from_millis(ms));
+        let (ctx, spans) = traced(|| {
+            with_phase(Phase::Sieve, || {
+                sleep(2);
+                with_phase(Phase::Newton, || sleep(2));
+                sleep(1);
+            })
+        });
+        let t = ctx.phase_time();
+        assert_eq!((t.regions(Phase::Sieve), t.regions(Phase::Newton)), (1, 1));
+        // The span carries the same two instants the self time came
+        // from, so the accounting is exact: the inner region owns its
+        // whole interval, the outer one the rest.
+        assert_eq!(t.self_time(Phase::Newton), dur(&spans, "newton"));
+        assert_eq!(t.self_time(Phase::Sieve) + t.self_time(Phase::Newton), dur(&spans, "sieve"));
+        assert!(t.self_time(Phase::Newton) >= Duration::from_millis(2));
+        assert!(t.self_time(Phase::Sieve) >= Duration::from_millis(3));
+        assert_eq!(t.total(), dur(&spans, "sieve"));
+    }
+
+    #[test]
+    fn self_time_subtracts_every_nested_region() {
+        let (ctx, spans) = traced(|| {
+            with_phase(Phase::Sieve, || {
+                with_phase(Phase::Newton, || std::hint::black_box(1));
+                with_phase(Phase::Newton, || {
+                    // Same-phase nesting: the inner region still owns
+                    // its interval, and the count sees both regions.
+                    with_phase(Phase::Newton, || std::hint::black_box(2))
+                });
+            })
+        });
+        let t = ctx.phase_time();
+        assert_eq!(t.regions(Phase::Newton), 3);
+        assert_eq!(t.regions(Phase::Sieve), 1);
+        // Spans sort by start, so the third newton span is the one
+        // nested in the second: it is subtracted once, never counted
+        // twice.
+        let newton: Vec<u64> =
+            spans.iter().filter(|s| s.name == "newton").map(|s| s.dur_ns).collect();
+        assert_eq!(t.self_time(Phase::Newton), Duration::from_nanos(newton[0] + newton[1]));
+        assert_eq!(t.self_time(Phase::Sieve) + t.self_time(Phase::Newton), dur(&spans, "sieve"));
+    }
+
+    #[test]
+    fn self_time_separates_threads() {
+        let rec = rr_obs::Recorder::new();
+        let ctx = SolveCtx::new(Profile::Paper).with_recorder(rec.clone());
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (ctx, barrier) = (ctx.clone(), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    ctx.run(|| {
+                        with_phase(Phase::Bisection, || {
+                            barrier.wait();
+                            std::thread::sleep(Duration::from_millis(2));
+                        })
+                    })
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let spans = rec.finish().spans;
+        assert_eq!(spans.len(), 2);
+        assert_ne!(spans[0].tid, spans[1].tid);
+        // Overlapping regions on different threads do not nest: each
+        // thread's region keeps its whole duration.
+        let t = ctx.phase_time();
+        assert_eq!(t.regions(Phase::Bisection), 2);
+        assert_eq!(t.self_time(Phase::Bisection), dur(&spans, "bisection"));
+    }
+
+    #[test]
+    fn untraced_regions_record_phase_time() {
+        let ctx = SolveCtx::new(Profile::Paper);
+        ctx.run(|| with_phase(Phase::Sort, || std::thread::sleep(Duration::from_millis(1))));
+        let t = ctx.phase_time();
+        assert_eq!(t.regions(Phase::Sort), 1);
+        assert!(t.self_time(Phase::Sort) >= Duration::from_millis(1));
+        assert_eq!(t.total(), t.self_time(Phase::Sort));
+        // Outside any context nothing is charged.
+        with_phase(Phase::Sort, || ());
+        assert_eq!(ctx.phase_time(), t);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   [`crate::Int`] and `Poly` kernels to, and
 //! * a private **metrics sink** that receives every event performed
 //!   under the context: the model counters read by
-//!   [`SolveCtx::snapshot`] and the execution counters read by
-//!   [`SolveCtx::exec`].
+//!   [`SolveCtx::snapshot`], the execution counters read by
+//!   [`SolveCtx::exec`], and the phase times read by
+//!   [`SolveCtx::phase_time`].
 //!
 //! A context is *installed* on a thread for a scope
 //! ([`SolveCtx::install`] / [`SolveCtx::run`]); while installed, all
@@ -46,7 +47,7 @@
 //! assert_eq!(paper.snapshot().total().mul_count, 1);
 //! ```
 
-use crate::metrics::{CostSnapshot, ExecSnapshot, MetricsSink, ThreadCounters};
+use crate::metrics::{CostSnapshot, ExecSnapshot, MetricsSink, PhaseTimes, ThreadCounters};
 use crate::Profile;
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -93,9 +94,10 @@ impl SolveCtx {
     }
 
     /// Attaches a span recorder: while this context is installed, the
-    /// recorder is installed too (so `metrics::with_phase` sites emit
-    /// wall-clock phase spans alongside their operation counts), and it
-    /// follows the context onto worker threads.
+    /// recorder is installed too (so `metrics::with_phase` regions also
+    /// emit the phase spans whose times they charge to
+    /// [`SolveCtx::phase_time`]), and it follows the context onto worker
+    /// threads.
     pub fn with_recorder(mut self, recorder: rr_obs::Recorder) -> SolveCtx {
         self.recorder = Some(recorder);
         self
@@ -136,6 +138,13 @@ impl SolveCtx {
     /// reflect.
     pub fn exec(&self) -> ExecSnapshot {
         self.sink.exec()
+    }
+
+    /// Wall-clock self time and region count per phase of every
+    /// `metrics::with_phase` region closed under this context, on any
+    /// thread — recorded whether or not a recorder is attached.
+    pub fn phase_time(&self) -> PhaseTimes {
+        self.sink.phase_time()
     }
 
     /// This thread's counter block in the context's sink, from the

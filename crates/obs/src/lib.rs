@@ -27,10 +27,16 @@
 //! * **Scoped ambient installation.** [`Recorder::install`] makes the
 //!   recorder the calling thread's *ambient* recorder until the guard
 //!   drops (stack-shaped, innermost wins — the same discipline as
-//!   `rr_mp::SolveCtx`). The free functions [`phase_span`] /
-//!   [`stage_span`] / [`counter`] record into the ambient recorder and
+//!   `rr_mp::SolveCtx`). The free functions [`stage_span`] / [`event`] /
+//!   [`counter`] / [`record_span`] record into the ambient recorder and
 //!   cost **a single branch** when none is installed, which is what
 //!   keeps untraced solves bit-identical and fast.
+//! * **Phases are recorded upstream.** This crate does not time
+//!   algorithm phases itself: `rr_mp::metrics::with_phase` reads the
+//!   clock once on entry and once on exit, charges the region's self
+//!   time to the solve's counter block, and hands the same two instants
+//!   to [`record_span`] as a `"phase"` span. Per-phase self time is
+//!   therefore read from the solve's counters, not rebuilt from spans.
 //!
 //! The per-solve recorder is complemented by [`metrics`] — an
 //! always-on, process-wide registry of counters, gauges and log-scale
@@ -45,10 +51,9 @@
 //! let rec = Recorder::new();
 //! rec.run(|| {
 //!     let _outer = rr_obs::stage_span("solve");
-//!     {
-//!         let _inner = rr_obs::phase_span("remainder");
-//!         // ... work ...
-//!     }
+//!     let start = std::time::Instant::now();
+//!     // ... work ...
+//!     rr_obs::record_span("phase", "remainder", start, std::time::Instant::now());
 //!     rr_obs::counter("queue-depth", 3.0);
 //! });
 //! let trace = rec.finish();
@@ -284,18 +289,44 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(open) = self.open.take() {
             let end = Instant::now();
-            let start_ns = elapsed_ns(open.rec.epoch, open.start);
-            let dur_ns = elapsed_ns(open.rec.epoch, end).saturating_sub(start_ns);
-            open.buf.spans.lock().expect("span buffer").push(SpanRecord {
-                name: open.name,
-                cat: open.cat,
-                start_ns,
-                dur_ns,
-                tid: open.buf.tid,
-                args: open.args,
-            });
+            push_span(&open.rec, &open.buf, open.cat, open.name, open.args, open.start, end);
         }
     }
+}
+
+/// Appends one closed span, rebased onto `rec`'s epoch, to `buf`.
+fn push_span(
+    rec: &RecInner,
+    buf: &Buffer,
+    cat: &'static str,
+    name: Cow<'static, str>,
+    args: Vec<(&'static str, u64)>,
+    start: Instant,
+    end: Instant,
+) {
+    let start_ns = elapsed_ns(rec.epoch, start);
+    let dur_ns = elapsed_ns(rec.epoch, end).saturating_sub(start_ns);
+    buf.spans.lock().expect("span buffer").push(SpanRecord {
+        name,
+        cat,
+        start_ns,
+        dur_ns,
+        tid: buf.tid,
+        args,
+    });
+}
+
+/// Records an already-measured span `[start, end]` of category `cat`
+/// on the ambient recorder; a single branch when none is installed.
+/// For callers that read the clock themselves and feed the same two
+/// instants to other views (`rr_mp::metrics::with_phase` records every
+/// `"phase"` span this way).
+pub fn record_span(cat: &'static str, name: &'static str, start: Instant, end: Instant) {
+    AMBIENT.with(|stack| {
+        if let Some((rec, buf)) = stack.borrow().last() {
+            push_span(rec, buf, cat, Cow::Borrowed(name), Vec::new(), start, end);
+        }
+    });
 }
 
 /// Opens a span of the given category on the ambient recorder. Returns
@@ -315,28 +346,11 @@ pub fn span(cat: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
             rec,
             buf,
             name: name.into(),
-            cat: "",
+            cat,
             args: Vec::new(),
             start: Instant::now(),
         }),
     }
-    .with_cat(cat)
-}
-
-impl Span {
-    fn with_cat(mut self, cat: &'static str) -> Span {
-        if let Some(open) = &mut self.open {
-            open.cat = cat;
-        }
-        self
-    }
-}
-
-/// Opens an algorithm-phase span (category `"phase"`); the name should
-/// be a `rr_mp::metrics::Phase` label. Emitted automatically by
-/// `rr_mp::metrics::with_phase`.
-pub fn phase_span(name: &'static str) -> Span {
-    span("phase", name)
 }
 
 /// Opens a pipeline-stage span (category `"stage"`, e.g. `"solve"`,
@@ -377,23 +391,24 @@ mod tests {
         assert!(!active());
         let rec = Recorder::new();
         {
-            let _s = phase_span("orphan"); // no recorder installed
+            let _s = stage_span("orphan"); // no recorder installed
         }
+        let now = Instant::now();
+        record_span("phase", "orphan", now, now);
         counter("orphan", 1.0);
         assert!(rec.finish().spans.is_empty());
         assert!(rec.finish().counters.is_empty());
     }
 
     #[test]
-    fn span_nesting_attributes_time_to_innermost() {
+    fn nested_spans_merge_enclosing_first() {
         let rec = Recorder::new();
         rec.run(|| {
-            let _outer = phase_span("outer");
+            let _outer = stage_span("outer");
+            std::thread::sleep(Duration::from_millis(1));
+            let start = Instant::now();
             std::thread::sleep(Duration::from_millis(2));
-            {
-                let _inner = phase_span("inner");
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            record_span("phase", "inner", start, Instant::now());
             std::thread::sleep(Duration::from_millis(1));
         });
         let trace = rec.finish();
@@ -403,13 +418,10 @@ mod tests {
         assert_eq!(trace.spans[0].name, "outer");
         assert_eq!(trace.spans[1].name, "inner");
         let (outer, inner) = (&trace.spans[0], &trace.spans[1]);
+        assert_eq!(inner.cat, "phase");
         assert!(outer.start_ns <= inner.start_ns);
         assert!(outer.start_ns + outer.dur_ns >= inner.start_ns + inner.dur_ns);
-        // Self-time accounting subtracts the nested span.
-        let selfs = trace.self_time_by_name("phase");
-        let get = |n: &str| selfs.iter().find(|(name, ..)| name == n).unwrap().1;
-        assert!(get("outer") + Duration::from_millis(1) < Duration::from_nanos(outer.dur_ns));
-        assert!(get("inner") >= Duration::from_millis(2));
+        assert!(Duration::from_nanos(inner.dur_ns) >= Duration::from_millis(2));
     }
 
     #[test]
@@ -417,9 +429,9 @@ mod tests {
         let outer = Recorder::new();
         let inner = Recorder::new();
         outer.run(|| {
-            let _a = phase_span("a");
+            let _a = stage_span("a");
             inner.run(|| {
-                let _b = phase_span("b");
+                let _b = stage_span("b");
             });
         });
         let to = outer.finish();
@@ -482,7 +494,7 @@ mod tests {
         let rec = Recorder::new();
         for _ in 0..100 {
             rec.run(|| {
-                let _s = phase_span("p");
+                let _s = stage_span("p");
             });
         }
         let trace = rec.finish();
@@ -508,11 +520,11 @@ mod tests {
     fn finish_drains_incrementally() {
         let rec = Recorder::new();
         rec.run(|| {
-            let _s = phase_span("first");
+            let _s = stage_span("first");
         });
         assert_eq!(rec.finish().spans.len(), 1);
         rec.run(|| {
-            let _s = phase_span("second");
+            let _s = stage_span("second");
         });
         let t2 = rec.finish();
         assert_eq!(t2.spans.len(), 1);

@@ -15,9 +15,7 @@
 //! resolution.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Duration;
 
 /// A closed span: a named interval of work on one track.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,80 +64,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Total wall-clock extent: from the earliest span start to the
-    /// latest span end.
-    pub fn extent(&self) -> Duration {
-        let start = self.spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
-        let end = self
-            .spans
-            .iter()
-            .map(|s| s.start_ns + s.dur_ns)
-            .max()
-            .unwrap_or(0);
-        Duration::from_nanos(end.saturating_sub(start))
-    }
-
-    /// Per-name *self* time for spans of category `cat`: each span's
-    /// duration minus the time covered by same-category spans nested
-    /// within it on the same track. This mirrors the cost-model rule
-    /// that the innermost phase owns the operation count, so per-phase
-    /// wall times line up with per-phase mul counts. Returns
-    /// `(name, self_time, span_count)` sorted by descending self time.
-    pub fn self_time_by_name(&self, cat: &str) -> Vec<(String, Duration, usize)> {
-        let mut totals: BTreeMap<&str, (u64, usize)> = BTreeMap::new();
-        // Spans are sorted with parents before children, so a per-track
-        // stack of open spans identifies each span's innermost enclosing
-        // same-category span; the child's duration is charged to itself
-        // and subtracted from the parent.
-        let mut stacks: BTreeMap<u32, Vec<(usize, u64)>> = BTreeMap::new();
-        let mut net: Vec<i128> = Vec::with_capacity(self.spans.len());
-        for (i, s) in self.spans.iter().enumerate() {
-            if s.cat != cat {
-                continue;
-            }
-            net.resize(i + 1, 0);
-            net[i] = i128::from(s.dur_ns);
-            let stack = stacks.entry(s.tid).or_default();
-            while let Some(&(_, end)) = stack.last() {
-                if end <= s.start_ns {
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            if let Some(&(parent, _)) = stack.last() {
-                net[parent] -= i128::from(s.dur_ns);
-            }
-            stack.push((i, s.start_ns + s.dur_ns));
-        }
-        for (i, s) in self.spans.iter().enumerate() {
-            if s.cat != cat || i >= net.len() {
-                continue;
-            }
-            let e = totals.entry(&s.name).or_default();
-            e.0 += u64::try_from(net[i].max(0)).unwrap_or(0);
-            e.1 += 1;
-        }
-        let mut out: Vec<(String, Duration, usize)> = totals
-            .into_iter()
-            .map(|(name, (ns, count))| (name.to_owned(), Duration::from_nanos(ns), count))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Sum of durations of spans of category `cat` (busy time across
-    /// all tracks; overlapping spans count multiply).
-    pub fn busy_time(&self, cat: &str) -> Duration {
-        Duration::from_nanos(
-            self.spans
-                .iter()
-                .filter(|s| s.cat == cat)
-                .map(|s| s.dur_ns)
-                .sum(),
-        )
-    }
-
     /// Serializes the trace as Chrome `trace_event` JSON, loadable in
     /// Perfetto or `chrome://tracing`. All events use `pid` 1; each
     /// trace track becomes a `tid` with an `"M"` `thread_name` record.
@@ -269,37 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn self_time_subtracts_nested_same_category_spans() {
-        let trace = Trace {
-            spans: vec![
-                sp("outer", "phase", 0, 1_000, 0),
-                sp("inner", "phase", 200, 300, 0),
-                sp("other-cat", "stage", 400, 100, 0), // ignored: different cat
-                sp("inner", "phase", 600, 100, 0),
-            ],
-            ..Trace::default()
-        };
-        let selfs = trace.self_time_by_name("phase");
-        let get = |n: &str| selfs.iter().find(|(name, ..)| name == n).unwrap();
-        assert_eq!(get("outer").1, Duration::from_nanos(600));
-        assert_eq!(get("inner").1, Duration::from_nanos(400));
-        assert_eq!(get("inner").2, 2);
-        // Descending self-time order.
-        assert_eq!(selfs[0].0, "outer");
-    }
-
-    #[test]
-    fn self_time_separates_tracks() {
-        let trace = Trace {
-            spans: vec![sp("a", "phase", 0, 500, 0), sp("b", "phase", 100, 300, 1)],
-            ..Trace::default()
-        };
-        // Same window but different tracks: no nesting, no subtraction.
-        let selfs = trace.self_time_by_name("phase");
-        assert_eq!(selfs.iter().map(|s| s.1.as_nanos()).sum::<u128>(), 800);
-    }
-
-    #[test]
     fn chrome_json_shape() {
         let trace = Trace {
             spans: vec![{
@@ -337,16 +230,5 @@ mod tests {
     #[test]
     fn json_escaping() {
         assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
-    fn extent_and_busy() {
-        let trace = Trace {
-            spans: vec![sp("a", "task", 100, 400, 0), sp("b", "task", 300, 500, 1)],
-            ..Trace::default()
-        };
-        assert_eq!(trace.extent(), Duration::from_nanos(700));
-        assert_eq!(trace.busy_time("task"), Duration::from_nanos(900));
-        assert_eq!(trace.busy_time("phase"), Duration::ZERO);
     }
 }

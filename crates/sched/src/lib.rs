@@ -11,10 +11,9 @@
 //!   further tasks through [`pool::Scope`]. Each scope is an independent
 //!   FIFO queue (`crossbeam_deque::Injector`, like the paper's queue)
 //!   with its own task-id space, quiescence counter, concurrency cap and
-//!   optional trace, so concurrent solves share workers without sharing
-//!   state; idle workers park on a condvar. [`pool::run`] /
-//!   [`pool::run_traced`] are the one-shot entry points on a dedicated
-//!   pool.
+//!   task trace, so concurrent solves share workers without sharing
+//!   state; idle workers park on a condvar. [`pool::run`] is the
+//!   one-shot entry point on a dedicated pool.
 //! * [`graph::Gate`] — the "status data structure" of Section 3.2: a
 //!   dependency counter whose final arrival tells the completing task to
 //!   spawn the gated successor.
@@ -28,12 +27,14 @@
 //!   Sequent Symmetry's 20; [`sim::critical_path`] gives the `T_∞`
 //!   bound.
 //!
-//! Observability: traced scopes record per-task start timestamps and
-//! executing-worker ids ([`TaskRecord`]), queue-depth samples
-//! ([`TaskTrace::queue_samples`]), and steal/idle counters
-//! ([`PoolStats::steal_retries`] / [`PoolStats::empty_polls`]); the
-//! `rr-core` report layer fuses these with `rr-obs` phase spans into
-//! Chrome-trace exports.
+//! Observability: every scope records each executed task once, as a
+//! [`TaskRecord`] (start timestamp, duration, executing worker, queue
+//! depth at its steal). The scope's [`TaskTrace`], the per-worker
+//! columns of its [`PoolStats`] and the registry's task series are all
+//! read from that record; steal/idle counters
+//! ([`PoolStats::steal_retries`] / [`PoolStats::empty_polls`]) complete
+//! the picture. The `rr-core` report layer fuses the trace with `rr-obs`
+//! phase spans into Chrome-trace exports.
 
 //! Supervision: [`cancel::CancelToken`] gives scopes cooperative
 //! cancellation (deadlines, budgets, explicit requests) checked at task
@@ -58,7 +59,7 @@ pub use estimate::{estimated_queue_wait, task_latency_p50};
 pub use fault::{FaultAction, FaultInjector, FaultPlan};
 pub use graph::Gate;
 pub use pool::{
-    current_parallelism, current_task_id, join_here, run, run_traced, set_worker_idle_hook,
+    current_parallelism, current_task_id, join_here, run, set_worker_idle_hook,
     AbortKind, Pool, PoolStats, Scope, ScopeAbort, ScopeConfig, TaskRecord, TaskTrace, TaskWrapper,
 };
 pub use sim::{concurrency_profile, critical_path, simulate_makespan, simulate_speedups};

@@ -8,7 +8,7 @@
 //! runs many times over the same threads: a [`Pool`] owns long-lived
 //! worker threads, and each solve opens a [`Pool::scope`] — an
 //! independent queue with its own task-id space, quiescence counter,
-//! panic flag, optional trace, and a *cap* on how many workers may drain
+//! panic flag, task trace, and a *cap* on how many workers may drain
 //! it concurrently. Scopes are what make concurrent solves composable:
 //! two solves on the same pool interleave tasks on the same workers
 //! without sharing ids, counters, or traces.
@@ -23,9 +23,15 @@
 //! scopes open the workers park indefinitely (a fully idle pool burns no
 //! CPU).
 //!
-//! The one-shot entry points [`run`] / [`run_traced`] remain for code
-//! that wants the historical pool-per-run behavior (a dedicated pool is
-//! created and torn down around the single scope).
+//! Each executed task is recorded exactly once, as a [`TaskRecord`]
+//! (worker, start, duration, the queue depth its steal observed). The
+//! scope's [`TaskTrace`] is those records, its [`PoolStats`] per-worker
+//! columns are sums over them, and the registry's task counter and
+//! latency histogram tick from the same measured duration.
+//!
+//! The one-shot entry point [`run`] remains for code that wants the
+//! historical pool-per-run behavior (a dedicated pool is created and
+//! torn down around the single scope).
 
 use crate::cancel::{CancelReason, CancelToken};
 use crossbeam_deque::{Injector, Steal};
@@ -112,10 +118,11 @@ struct Queued {
 }
 
 /// One executed task in a [`TaskTrace`]: its spawner, its measured
-/// timing, and the worker that ran it. The spawner edge is the task's
-/// *last-arriving* dependency (a gated task is enqueued by whichever
-/// prerequisite finishes last), so replaying the trace respects the true
-/// precedence constraints observed in this run.
+/// timing, the worker that ran it, and the queue depth at its steal.
+/// The spawner edge is the task's *last-arriving* dependency (a gated
+/// task is enqueued by whichever prerequisite finishes last), so
+/// replaying the trace respects the true precedence constraints
+/// observed in this run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskRecord {
     /// Task id (spawn order within the scope, starting at 0).
@@ -129,6 +136,8 @@ pub struct TaskRecord {
     pub start_ns: u64,
     /// Pool-worker index that executed the task.
     pub worker: usize,
+    /// Tasks still queued in the scope right after this one was stolen.
+    pub queue_depth: u32,
 }
 
 /// The recorded task graph of one scope — input to
@@ -142,20 +151,23 @@ pub struct TaskRecord {
 pub struct TaskTrace {
     /// Executed tasks (unordered; ids are spawn order).
     pub records: Vec<TaskRecord>,
-    /// The `Instant` the scope opened; all `start_ns` values and
-    /// queue-sample times are offsets from it. `None` for synthetic
-    /// traces built by hand (e.g. in the simulator tests).
+    /// The `Instant` the scope opened; all `start_ns` values are
+    /// offsets from it. `None` for synthetic traces built by hand (e.g.
+    /// in the simulator tests).
     pub epoch: Option<Instant>,
-    /// `(t_ns, depth)` samples of the scope's pending-task count, taken
-    /// by workers as they steal. Exported as a `"queue-depth"` counter
-    /// track in Chrome traces.
-    pub queue_samples: Vec<(u64, u32)>,
 }
 
 impl TaskTrace {
     /// Total work (sum of task durations).
     pub fn total_work(&self) -> Duration {
         Duration::from_nanos(self.records.iter().map(|r| r.nanos).sum())
+    }
+
+    /// `(t_ns, depth)` samples of the scope's queue depth, one per
+    /// steal: each task's start and the tasks still queued behind it.
+    /// Exported as a `"queue-depth"` counter track in Chrome traces.
+    pub fn queue_samples(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.records.iter().map(|r| (r.start_ns, r.queue_depth))
     }
 }
 
@@ -203,15 +215,8 @@ struct PanicInfo {
     payload: Box<dyn Any + Send>,
 }
 
-/// Buffers for a traced scope: executed-task records plus queue-depth
-/// samples, both stamped against the scope's epoch.
-struct TraceBuf {
-    records: Mutex<Vec<TaskRecord>>,
-    queue: Mutex<Vec<(u64, u32)>>,
-}
-
 /// The shared state of one scope: queue, quiescence counter, id space,
-/// panic flag, concurrency cap, stats, and optional trace/wrapper.
+/// panic flag, concurrency cap, task records, and optional wrapper.
 struct ScopeCore {
     injector: Injector<Queued>,
     /// Tasks spawned but not yet completed (queued + running).
@@ -242,9 +247,9 @@ struct ScopeCore {
     /// Empty polls: a worker claimed a drain slot and found no task.
     empty_polls: AtomicU64,
     wrapper: Option<TaskWrapper>,
-    trace: Option<TraceBuf>,
-    /// (tasks, busy) per pool-worker index.
-    stats: Mutex<Vec<(u64, Duration)>>,
+    /// One record per executed task, pushed before the task's
+    /// `finish_task`, so the owner sees every record at quiescence.
+    records: Mutex<Vec<TaskRecord>>,
     done_lock: Mutex<()>,
     done_cv: Condvar,
     /// Published fork-join stubs (addresses of stack-allocated
@@ -257,12 +262,7 @@ struct ScopeCore {
 }
 
 impl ScopeCore {
-    fn new(
-        cap: usize,
-        traced: bool,
-        wrapper: Option<TaskWrapper>,
-        cancel: Option<CancelToken>,
-    ) -> ScopeCore {
+    fn new(cap: usize, wrapper: Option<TaskWrapper>, cancel: Option<CancelToken>) -> ScopeCore {
         assert!(cap > 0, "need at least one worker");
         ScopeCore {
             injector: Injector::new(),
@@ -280,23 +280,11 @@ impl ScopeCore {
             steal_retries: AtomicU64::new(0),
             empty_polls: AtomicU64::new(0),
             wrapper,
-            trace: traced.then(|| TraceBuf {
-                records: Mutex::new(Vec::new()),
-                queue: Mutex::new(Vec::new()),
-            }),
-            stats: Mutex::new(Vec::new()),
+            records: Mutex::new(Vec::new()),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
             joins: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Nanoseconds since the scope opened (saturating: a worker whose
-    /// first steal races the epoch read reports 0).
-    fn now_ns(&self) -> u64 {
-        Instant::now()
-            .checked_duration_since(self.epoch)
-            .map_or(0, |d| d.as_nanos() as u64)
     }
 
     /// Claims a drain slot if the cap allows; release with `release`.
@@ -365,18 +353,6 @@ impl ScopeCore {
             }
         }
         false
-    }
-
-    /// Credits one executed task to `worker_idx`. Called *before* the
-    /// task's `finish_task`, so by the time the scope owner observes
-    /// quiescence every executed task is visible in the stats.
-    fn record_task(&self, worker_idx: usize, busy: Duration) {
-        let mut stats = self.stats.lock();
-        if stats.len() <= worker_idx {
-            stats.resize(worker_idx + 1, (0, Duration::ZERO));
-        }
-        stats[worker_idx].0 += 1;
-        stats[worker_idx].1 += busy;
     }
 }
 
@@ -688,10 +664,12 @@ pub struct PoolStats {
     /// equals the pool's thread count).
     pub workers: usize,
     /// Tasks executed by each pool worker (indexed by worker id; at most
-    /// `workers` of them are nonzero concurrently).
+    /// `workers` of them are nonzero concurrently): the count of the
+    /// scope's [`TaskRecord`]s per worker.
     pub tasks_per_worker: Vec<u64>,
     /// Time each pool worker spent executing this scope's tasks
-    /// (excludes idle/parked time and other scopes' tasks).
+    /// (excludes idle/parked time and other scopes' tasks): the sum of
+    /// the worker's [`TaskRecord::nanos`].
     pub busy_per_worker: Vec<Duration>,
     /// Wall-clock duration from scope open to quiescence.
     pub wall: Duration,
@@ -754,8 +732,6 @@ impl std::fmt::Display for PoolStats {
 pub struct ScopeConfig {
     /// Max workers draining the scope concurrently (0 = the whole pool).
     pub cap: usize,
-    /// Record a [`TaskTrace`] of the scope.
-    pub traced: bool,
     /// Hook run around every task (e.g. session-context installation).
     pub wrapper: Option<TaskWrapper>,
     /// Cooperative cancellation: once the token fires, workers stop
@@ -807,8 +783,8 @@ pub struct ScopeAbort {
     pub kind: AbortKind,
     /// Statistics for the tasks that ran before abandonment.
     pub stats: PoolStats,
-    /// Trace of the tasks that ran, if tracing was on.
-    pub trace: Option<TaskTrace>,
+    /// Trace of the tasks that ran.
+    pub trace: TaskTrace,
 }
 
 struct PoolShared {
@@ -876,8 +852,7 @@ impl Pool {
     }
 
     /// Runs `seed` (and everything it transitively spawns) to quiescence
-    /// in a fresh scope, returning its statistics and (if requested) its
-    /// trace. Blocks until the scope quiesces; concurrent callers get
+    /// in a fresh scope, returning its statistics and its task trace. Blocks until the scope quiesces; concurrent callers get
     /// independent scopes drained by the same workers.
     ///
     /// Supervised callers should prefer [`Pool::try_scope`], which
@@ -886,7 +861,7 @@ impl Pool {
     /// # Panics
     /// Re-panics if any task of the scope panicked, with the original
     /// message and task id preserved in the new payload.
-    pub fn scope<'env, F>(&self, cfg: ScopeConfig, seed: F) -> (PoolStats, Option<TaskTrace>)
+    pub fn scope<'env, F>(&self, cfg: ScopeConfig, seed: F) -> (PoolStats, TaskTrace)
     where
         F: FnOnce(&Scope<'env>) + Send + 'env,
     {
@@ -913,14 +888,14 @@ impl Pool {
         &self,
         cfg: ScopeConfig,
         seed: F,
-    ) -> Result<(PoolStats, Option<TaskTrace>), Box<ScopeAbort>>
+    ) -> Result<(PoolStats, TaskTrace), Box<ScopeAbort>>
     where
         F: FnOnce(&Scope<'env>) + Send + 'env,
     {
         let cap = if cfg.cap == 0 { self.workers() } else { cfg.cap };
         self.ensure_workers(cap.min(MAX_AUTO_GROW));
         let cancel = cfg.cancel.clone();
-        let core = Arc::new(ScopeCore::new(cap, cfg.traced, cfg.wrapper, cfg.cancel));
+        let core = Arc::new(ScopeCore::new(cap, cfg.wrapper, cfg.cancel));
         let handle = Scope::handle(Arc::clone(&core));
         handle.spawn(seed);
         let start = Instant::now();
@@ -946,21 +921,20 @@ impl Pool {
         drop(handle);
         // Workers may still hold Arc clones of the core from their
         // registry snapshots, so read results through the Arc rather
-        // than unwrapping it. All per-task recording happened before the
-        // final `finish_task`, so these reads see every executed task.
-        let mut tasks_per_worker: Vec<u64> = Vec::new();
-        let mut busy_per_worker: Vec<Duration> = Vec::new();
-        for &(tasks, busy) in core.stats.lock().iter() {
-            tasks_per_worker.push(tasks);
-            busy_per_worker.push(busy);
-        }
-        tasks_per_worker.resize(tasks_per_worker.len().max(cap), 0);
-        busy_per_worker.resize(busy_per_worker.len().max(cap), Duration::ZERO);
-        let trace = core.trace.as_ref().map(|buf| TaskTrace {
-            records: std::mem::take(&mut *buf.records.lock()),
+        // than unwrapping it. Every record was pushed before its task's
+        // `finish_task`, so this sees every executed task; the
+        // per-worker columns are sums over those records.
+        let trace = TaskTrace {
+            records: std::mem::take(&mut *core.records.lock()),
             epoch: Some(core.epoch),
-            queue_samples: std::mem::take(&mut *buf.queue.lock()),
-        });
+        };
+        let width = trace.records.iter().map(|r| r.worker + 1).max().unwrap_or(0).max(cap);
+        let mut tasks_per_worker = vec![0u64; width];
+        let mut busy_per_worker = vec![Duration::ZERO; width];
+        for r in &trace.records {
+            tasks_per_worker[r.worker] += 1;
+            busy_per_worker[r.worker] += Duration::from_nanos(r.nanos);
+        }
         let stats = PoolStats {
             workers: cap,
             tasks_per_worker,
@@ -1097,16 +1071,12 @@ fn drain_scope(core: &Arc<ScopeCore>, worker_idx: usize) -> bool {
         match core.injector.steal() {
             Steal::Success(task) => {
                 let Queued { id, parent, f } = task;
-                if let Some(trace) = &core.trace {
-                    // Depth after this steal: tasks still queued (pending
-                    // counts running tasks too, so subtract nothing — the
-                    // injector length is the honest queue depth here).
-                    let depth = core.injector.len() as u32;
-                    m::QUEUE_DEPTH.set(i64::from(depth));
-                    trace.queue.lock().push((core.now_ns(), depth));
-                } else if rr_obs::metrics::enabled() {
-                    m::QUEUE_DEPTH.set(core.injector.len() as i64);
-                }
+                // One queue-depth sample per steal, for the gauge and the
+                // task's record: the tasks still queued (pending counts
+                // running tasks too, so the injector length is the honest
+                // queue depth here).
+                let queue_depth = core.injector.len() as u32;
+                m::QUEUE_DEPTH.set(i64::from(queue_depth));
                 let scope: Scope<'static> = Scope::handle(Arc::clone(core));
                 let prev = CURRENT_TASK.with(|c| c.replace(Some(id)));
                 let t0 = Instant::now();
@@ -1120,18 +1090,17 @@ fn drain_scope(core: &Arc<ScopeCore>, worker_idx: usize) -> bool {
                 }));
                 let elapsed = t0.elapsed();
                 CURRENT_TASK.with(|c| c.set(prev));
-                if let Some(trace) = &core.trace {
-                    trace.records.lock().push(TaskRecord {
-                        id,
-                        parent,
-                        nanos: elapsed.as_nanos() as u64,
-                        start_ns: t0
-                            .checked_duration_since(core.epoch)
-                            .map_or(0, |d| d.as_nanos() as u64),
-                        worker: worker_idx,
-                    });
-                }
-                core.record_task(worker_idx, elapsed);
+                core.records.lock().push(TaskRecord {
+                    id,
+                    parent,
+                    nanos: elapsed.as_nanos() as u64,
+                    // Saturating: a steal racing the epoch read reports 0.
+                    start_ns: t0
+                        .checked_duration_since(core.epoch)
+                        .map_or(0, |d| d.as_nanos() as u64),
+                    worker: worker_idx,
+                    queue_depth,
+                });
                 m::TASKS.inc();
                 m::TASK_LATENCY.record_duration(elapsed);
                 did_work = true;
@@ -1183,35 +1152,18 @@ fn drain_scope(core: &Arc<ScopeCore>, worker_idx: usize) -> bool {
 
 /// Runs `seed` (and everything it transitively spawns) to quiescence on
 /// a dedicated pool of `workers` threads, returning execution
-/// statistics. One-shot compatibility entry point; long-lived callers
-/// should hold a [`Pool`] and open [`Pool::scope`]s on it instead.
+/// statistics and the executed task graph (ids, spawner edges,
+/// durations) for post-hoc scheduling simulation. One-shot entry point;
+/// long-lived callers should hold a [`Pool`] and open
+/// [`Pool::scope`]s on it instead.
 ///
 /// # Panics
 /// Re-panics if any task panicked. Panics if `workers == 0`.
-pub fn run<'env, F>(workers: usize, seed: F) -> PoolStats
+pub fn run<'env, F>(workers: usize, seed: F) -> (PoolStats, TaskTrace)
 where
     F: FnOnce(&Scope<'env>) + Send + 'env,
 {
-    let pool = Pool::new(workers);
-    let (stats, _) = pool.scope(
-        ScopeConfig { cap: workers, traced: false, wrapper: None, cancel: None },
-        seed,
-    );
-    stats
-}
-
-/// Like [`run`], but also records the executed task graph (ids, spawner
-/// edges, durations) for post-hoc scheduling simulation.
-pub fn run_traced<'env, F>(workers: usize, seed: F) -> (PoolStats, TaskTrace)
-where
-    F: FnOnce(&Scope<'env>) + Send + 'env,
-{
-    let pool = Pool::new(workers);
-    let (stats, trace) = pool.scope(
-        ScopeConfig { cap: workers, traced: true, wrapper: None, cancel: None },
-        seed,
-    );
-    (stats, trace.expect("tracing was enabled"))
+    Pool::new(workers).scope(ScopeConfig { cap: workers, ..ScopeConfig::default() }, seed)
 }
 
 #[cfg(test)]
@@ -1232,7 +1184,7 @@ mod tests {
     fn fan_out_executes_everything() {
         for workers in [1usize, 2, 4, 8] {
             let count = AtomicU64::new(0);
-            let stats = run(workers, |s| {
+            let (stats, _) = run(workers, |s| {
                 for _ in 0..100 {
                     s.spawn(|s2| {
                         count.fetch_add(1, Ordering::Relaxed);
@@ -1266,7 +1218,7 @@ mod tests {
     #[test]
     fn all_workers_participate_under_load() {
         // With enough slow tasks, every worker should execute at least one.
-        let stats = run(4, |s| {
+        let (stats, _) = run(4, |s| {
             for _ in 0..64 {
                 s.spawn(|_| {
                     std::thread::sleep(Duration::from_millis(2));
@@ -1305,7 +1257,7 @@ mod tests {
 
     #[test]
     fn utilization_bounded() {
-        let stats = run(2, |s| {
+        let (stats, _) = run(2, |s| {
             for _ in 0..8 {
                 s.spawn(|_| std::thread::sleep(Duration::from_millis(1)));
             }
@@ -1320,7 +1272,7 @@ mod tests {
         for round in 0..5u64 {
             let count = AtomicU64::new(0);
             let (stats, trace) = pool.scope(
-                ScopeConfig { cap: 3, traced: true, wrapper: None, cancel: None },
+                ScopeConfig { cap: 3, ..ScopeConfig::default() },
                 |s| {
                     for _ in 0..20 {
                         s.spawn(|_| {
@@ -1332,7 +1284,6 @@ mod tests {
             assert_eq!(count.load(Ordering::SeqCst), 20, "round {round}");
             assert_eq!(stats.total_tasks(), 21);
             // Per-scope id space restarts at 0 every time.
-            let trace = trace.unwrap();
             let mut ids: Vec<u64> = trace.records.iter().map(|r| r.id).collect();
             ids.sort_unstable();
             assert_eq!(ids, (0..21).collect::<Vec<u64>>(), "round {round}");
@@ -1350,7 +1301,7 @@ mod tests {
                     let count = AtomicU64::new(0);
                     let spawns = 10 * (k + 1);
                     let (stats, trace) = pool.scope(
-                        ScopeConfig { cap: 2, traced: true, wrapper: None, cancel: None },
+                        ScopeConfig { cap: 2, ..ScopeConfig::default() },
                         |s| {
                             for _ in 0..spawns {
                                 s.spawn(|_| {
@@ -1359,7 +1310,7 @@ mod tests {
                             }
                         },
                     );
-                    (count.into_inner(), stats.total_tasks(), spawns, trace.unwrap())
+                    (count.into_inner(), stats.total_tasks(), spawns, trace)
                 })
             })
             .collect();
@@ -1381,7 +1332,7 @@ mod tests {
         let live = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         let (stats, _) = pool.scope(
-            ScopeConfig { cap: 2, traced: false, wrapper: None, cancel: None },
+            ScopeConfig { cap: 2, ..ScopeConfig::default() },
             |s| {
                 for _ in 0..16 {
                     let live = Arc::clone(&live);
@@ -1411,7 +1362,7 @@ mod tests {
         let pool = Pool::new(2);
         let count = AtomicU64::new(0);
         let (stats, _) = pool.scope(
-            ScopeConfig { cap: 2, traced: false, wrapper: Some(wrapper), cancel: None },
+            ScopeConfig { cap: 2, wrapper: Some(wrapper), cancel: None },
             |s| {
                 for _ in 0..10 {
                     s.spawn(|_| {
@@ -1581,7 +1532,7 @@ mod tests {
         let count = AtomicU64::new(0);
         let (stats, trace) = pool
             .try_scope(
-                ScopeConfig { traced: true, ..ScopeConfig::default() },
+                ScopeConfig::default(),
                 |s| {
                     for _ in 0..10 {
                         s.spawn(|_| {
@@ -1595,7 +1546,61 @@ mod tests {
         assert_eq!(stats.total_tasks(), 11);
         assert_eq!(stats.panicked_tasks, 0);
         assert_eq!(stats.cancelled_tasks, 0);
-        assert_eq!(trace.expect("traced").records.len(), 11);
+        assert_eq!(trace.records.len(), 11);
+    }
+
+    /// Per-worker task counts and busy time summed from `trace`'s records.
+    fn per_worker_sums(trace: &TaskTrace, width: usize) -> (Vec<u64>, Vec<Duration>) {
+        let mut tasks = vec![0u64; width];
+        let mut busy = vec![Duration::ZERO; width];
+        for r in &trace.records {
+            tasks[r.worker] += 1;
+            busy[r.worker] += Duration::from_nanos(r.nanos);
+        }
+        (tasks, busy)
+    }
+
+    #[test]
+    fn pool_stats_are_the_sums_of_the_task_records() {
+        let pool = Pool::new(3);
+        let (stats, trace) = pool.scope(ScopeConfig::default(), |s: &Scope<'_>| {
+            for _ in 0..40 {
+                s.spawn(|_| std::thread::sleep(Duration::from_micros(50)));
+            }
+        });
+        let width = stats.tasks_per_worker.len();
+        assert!(width >= 3);
+        assert_eq!(per_worker_sums(&trace, width), (stats.tasks_per_worker, stats.busy_per_worker));
+        assert_eq!(trace.records.len(), 41);
+        assert_eq!(trace.queue_samples().count(), 41, "one queue sample per steal");
+
+        // A cancelled scope's partial stats come from the same records.
+        let token = CancelToken::new();
+        let abort = {
+            let token = token.clone();
+            pool.try_scope(
+                ScopeConfig { cancel: Some(token.clone()), ..ScopeConfig::default() },
+                move |s| {
+                    for i in 0..64 {
+                        let token = token.clone();
+                        s.spawn(move |_| {
+                            if i == 5 {
+                                token.cancel(CancelReason::Requested { why: "stop".into() });
+                            }
+                            std::thread::sleep(Duration::from_micros(200));
+                        });
+                    }
+                },
+            )
+        }
+        .expect_err("scope must report cancellation");
+        assert!(matches!(abort.kind, AbortKind::Cancelled { .. }));
+        let stats = &abort.stats;
+        let width = stats.tasks_per_worker.len();
+        let (tasks, busy) = per_worker_sums(&abort.trace, width);
+        assert_eq!(tasks, stats.tasks_per_worker);
+        assert_eq!(busy, stats.busy_per_worker);
+        assert_eq!(stats.total_tasks() + stats.cancelled_tasks, 65);
     }
 
     #[test]
@@ -1823,7 +1828,7 @@ mod tests {
     fn ensure_workers_grows_for_oversized_cap() {
         let pool = Pool::new(2);
         let (stats, _) = pool.scope(
-            ScopeConfig { cap: 6, traced: false, wrapper: None, cancel: None },
+            ScopeConfig { cap: 6, ..ScopeConfig::default() },
             |s: &Scope<'_>| {
                 for _ in 0..12 {
                     s.spawn(|_| std::thread::sleep(Duration::from_micros(100)));

@@ -2,7 +2,7 @@
 //!
 //! The paper measured speedups on a 20-processor Sequent Symmetry. When
 //! the host has fewer cores than the processor counts under study, the
-//! same task graph can still be *replayed*: [`crate::pool::run_traced`]
+//! same task graph can still be *replayed*: [`crate::pool::run`]
 //! records every executed task's duration and its spawner edge (which is
 //! the task's last-arriving dependency, so the recorded edges are exactly
 //! the precedence constraints that gated the run), and
@@ -170,14 +170,14 @@ pub fn simulate_speedups(trace: &TaskTrace, procs: &[usize]) -> Vec<(usize, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{run_traced, TaskRecord};
+    use crate::pool::{run, TaskRecord};
 
     fn trace(records: Vec<TaskRecord>) -> TaskTrace {
         TaskTrace { records, ..TaskTrace::default() }
     }
 
     fn rec(id: u64, parent: Option<u64>, nanos: u64) -> TaskRecord {
-        TaskRecord { id, parent, nanos, start_ns: 0, worker: 0 }
+        TaskRecord { id, parent, nanos, start_ns: 0, worker: 0, queue_depth: 0 }
     }
 
     #[test]
@@ -344,7 +344,7 @@ mod tests {
     fn real_trace_from_pool_replays_consistently() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let count = AtomicU64::new(0);
-        let (_stats, trace) = run_traced(2, |s| {
+        let (_stats, trace) = run(2, |s| {
             for _ in 0..10 {
                 s.spawn(|s2| {
                     count.fetch_add(1, Ordering::Relaxed);

@@ -2,7 +2,7 @@
 //! contention fan-out, repeated runs from one process, panic storms, and
 //! trace integrity under load.
 
-use rr_sched::{run, run_traced, Gate};
+use rr_sched::{run, Gate};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[test]
@@ -88,7 +88,7 @@ fn panic_storm_abandons_cleanly() {
 
 #[test]
 fn trace_integrity_under_contention() {
-    let (stats, trace) = run_traced(8, |s| {
+    let (stats, trace) = run(8, |s| {
         for _ in 0..200 {
             s.spawn(|s2| {
                 for _ in 0..3 {

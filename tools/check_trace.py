@@ -17,8 +17,10 @@ Perfetto and chrome://tracing rely on, plus this repo's conventions:
 With --report=<path>, additionally validates a solve-report JSON
 (rr_bench::report_to_json): its "counters" object must summarize every
 recorder counter series as {samples, max, min, last} with numeric
-values and samples >= 1, and a report that carries pool statistics must
-include the "queue-depth" series the scheduler emits.
+values and samples >= 1, a report that carries pool statistics must
+include the "queue-depth" series the scheduler emits, and a report with
+no pool tasks (one thread) must have its phase self times add up to at
+most its wall time.
 
 Usage: tools/check_trace.py <trace.json> [--min-phases N] [--report=<report.json>]
 Exit status 0 iff the file (and the report, if given) passes.
@@ -58,6 +60,13 @@ def check_report(path):
             fail(f"{path}: counter {name!r} min {summary['min']} > max {summary['max']}")
     if isinstance(report.get("pool"), dict) and "queue-depth" not in counters:
         fail(f"{path}: pool-backed report is missing the 'queue-depth' counter")
+    if report.get("total_tasks") == 0:
+        # One thread: phase regions are disjoint or nested, and a region's
+        # self time excludes its nested regions, so the layer times must
+        # fit inside the solve's wall time.
+        self_secs = sum(p["self_secs"] for p in report.get("phases", []))
+        if self_secs > report["wall_secs"]:
+            fail(f"{path}: phase self times sum to {self_secs}s > wall {report['wall_secs']}s")
     print(f"check_trace: report OK: {len(counters)} counter series "
           f"({', '.join(sorted(counters))})")
 
